@@ -44,6 +44,7 @@ from .linear import (
     attribute_probs,
     category_posterior,
     train_attribute_bank,
+    train_banks,
     train_binary,
     train_category_bank,
 )

@@ -58,6 +58,9 @@ class ExperimentConfig:
     noise_seeds: int = 20
     noise_rng_seed: int = 0
 
+    def __post_init__(self):
+        loop_config(self)  # the loop and training settings check themselves
+
 
 def parse_flat_config(text: str) -> dict[str, str]:
     values: dict[str, str] = {}
@@ -68,7 +71,10 @@ def parse_flat_config(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigurationError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in values:
+            raise ConfigurationError(f"line {lineno}: duplicate key {key!r}")
+        values[key] = value.strip()
     return values
 
 

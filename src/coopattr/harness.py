@@ -23,8 +23,6 @@ Variants:
 from __future__ import annotations
 
 import enum
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from statistics import fmean
 
@@ -35,7 +33,7 @@ from .errors import ConfigurationError, StateError
 from .linear import (
     TrainConfig,
     attribute_accuracy_arrays,
-    train_attribute_bank,
+    train_banks,
     train_category_bank,
 )
 from .messages import fuse_uniform, fuse_weighted
@@ -48,10 +46,6 @@ from .synthetic import (
     good_attribute_sets,
 )
 from .transfer import derive_attribute_labels, select_prunes, select_transfers
-
-#: Environment variable bounding how many agents run concurrently.
-THREADS_ENV = "COOPATTR_THREADS"
-
 
 class LearnerVariant(enum.Enum):
     SSL_IND = "SSL_IND"
@@ -76,6 +70,14 @@ class LoopConfig:
     prune_every: int = 5
     train: TrainConfig = TrainConfig()
 
+    def __post_init__(self):
+        if self.transfers_per_category < 1:
+            raise ConfigurationError("transfers_per_category must be at least 1")
+        if self.prunes_per_category < 1:
+            raise ConfigurationError("prunes_per_category must be at least 1")
+        if self.prune_every < 0:
+            raise ConfigurationError("prune_every must be non-negative (0 turns pruning off)")
+
 
 @dataclass(frozen=True)
 class AgentMetrics:
@@ -93,21 +95,6 @@ class IterationRecord:
 
 
 CSV_COLUMNS = ("iteration", "agent", "accuracy", "purity", "attr_acc_mean", "transfers", "prunes")
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
-def _map_agents(fn, items):
-    workers = _thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def compute_purity(pool: PoolState, examples) -> float:
@@ -178,9 +165,12 @@ def _train_agent(run, world, cfg: LoopConfig, aware: bool, weighted: bool):
     n_cat = world.config.n_categories
     n_attr = world.config.n_attributes
     features, categories, attributes = _labeled_training_data(run, aware)
-    run.category_bank = train_category_bank(features, categories, n_cat, cfg.train)
-    if aware:
-        run.attribute_bank = train_attribute_bank(features, attributes, cfg.train)
+    if not aware:
+        run.category_bank = train_category_bank(features, categories, n_cat, cfg.train)
+    else:
+        run.category_bank, run.attribute_bank = train_banks(
+            features, categories, attributes, n_cat, cfg.train
+        )
         run.matrix = estimate_matrix_from_labels(categories, attributes, n_cat, n_attr)
         if weighted:
             seed_ids = sorted(run.pool.seed_ids)
@@ -292,8 +282,9 @@ def _run_upper_bound(world, iterations: int, cfg: LoopConfig) -> list[IterationR
         )
         attributes = np.stack([domain.examples[i].true_attributes for i in ids])
         run = _AgentRun(domain)
-        run.category_bank = train_category_bank(features, categories, n_cat, cfg.train)
-        run.attribute_bank = train_attribute_bank(features, attributes, cfg.train)
+        run.category_bank, run.attribute_bank = train_banks(
+            features, categories, attributes, n_cat, cfg.train
+        )
         run.matrix = estimate_matrix_from_labels(categories, attributes, n_cat, n_attr)
         accuracy, attribute_accuracy = _agent_test_metrics(run, True, n_cat)
         purity = compute_purity(domain.pool, domain.examples)
@@ -328,7 +319,8 @@ def run_experiment(
     runs = [_AgentRun(domain) for domain in world.domains]
     records = []
     for t in range(1, iterations + 1):
-        _map_agents(lambda run: _train_agent(run, world, cfg, aware, weighted), runs)
+        for run in runs:
+            _train_agent(run, world, cfg, aware, weighted)
         if variant is LearnerVariant.COOPERATIVE_UNIFORM:
             fused = [
                 fuse_uniform(runs[k].matrix, [runs[1 - k].matrix]) for k in range(len(runs))
@@ -344,9 +336,7 @@ def run_experiment(
             ]
             for run, matrix in zip(runs, fused):
                 run.matrix = matrix
-        moved = _map_agents(
-            lambda run: _advance_agent(run, t, cfg, aware, n_categories), runs
-        )
+        moved = [_advance_agent(run, t, cfg, aware, n_categories) for run in runs]
         ensemble_accuracy = (
             _ensemble_test_accuracy(runs, world)
             if variant is LearnerVariant.ENSEMBLE_IND

@@ -28,14 +28,31 @@ class TrainConfig:
     max_iters: int = 500
     tol: float = 1e-6
 
+    def __post_init__(self):
+        values = (self.l2, self.learning_rate, self.max_iters, self.tol)
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigurationError("l2, learning_rate, max_iters and tol must be finite")
+        if self.max_iters < 1:
+            raise ConfigurationError("max_iters must be at least 1")
+        if self.learning_rate <= 0:
+            raise ConfigurationError("learning_rate must be positive")
+        if self.l2 < 0:
+            raise ConfigurationError("l2 must be non-negative")
+        if self.tol < 0:
+            raise ConfigurationError("tol must be non-negative")
+
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, with e = e^-|z|:
+    # the exponent is never positive, so nothing overflows. As 0 <= e <= 1,
+    # max(e, z >= 0) is the numerator, 1 or e, without a branch per element.
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    numerator = np.maximum(e, z >= 0)
+    e += 1.0
+    numerator /= e
+    return numerator
 
 
 def _sigmoid_scalar(z: float) -> float:
@@ -52,19 +69,29 @@ def _clamp(p):
 def _fit(features: np.ndarray, targets: np.ndarray, config: TrainConfig):
     """Gradient descent on the mean logistic loss, one target column per classifier.
 
-    Columns are independent, so fitting k classifiers that share the same
-    feature matrix in one call is equivalent to fitting them one by one.
+    Each column's update depends only on its own weights, so fitting k
+    classifiers that share the feature matrix in one call gives the same bits
+    as fitting them one by one, as long as no fit stops early. The stopping
+    test is joint: the call stops once every column's max-abs gradient is
+    below ``tol``, so a column that converged alone keeps stepping while any
+    other has not.
     """
     n, dim = features.shape
     k = targets.shape[1]
     weights = np.zeros((dim, k))
     bias = np.zeros(k)
     for _ in range(config.max_iters):
-        probs = _sigmoid(features @ weights + bias)
-        residual = (probs - targets) / n
-        grad_w = features.T @ residual + config.l2 * weights
+        z = features @ weights
+        z += bias
+        residual = _sigmoid(z)
+        residual -= targets
+        residual /= n
+        grad_w = features.T @ residual
+        grad_w += config.l2 * weights
         grad_b = residual.sum(axis=0)
-        if max(np.abs(grad_w).max(), np.abs(grad_b).max()) < config.tol:
+        # grad_b has k entries against grad_w's d * k; a step that does not
+        # stop usually fails on grad_b already.
+        if np.abs(grad_b).max() < config.tol and np.abs(grad_w).max() < config.tol:
             break
         weights -= config.learning_rate * grad_w
         bias -= config.learning_rate * grad_b
@@ -171,19 +198,10 @@ class AttributeModelBank:
         return self.probs_batch(np.asarray(x, float)[None, :])[0]
 
 
-def train_category_bank(
-    features: np.ndarray,
-    categories: np.ndarray,
-    n_categories: int,
-    config: TrainConfig | None = None,
-) -> CategoryModelBank:
-    """Train the N one-vs-rest category classifiers in one vectorized pass.
-
-    Each category's negatives are all labeled examples of the other categories.
-    """
+def _category_targets(features, categories, n_categories: int):
+    """Checked features and one-hot one-vs-rest targets, one column per category."""
     if n_categories < 2:
         raise ConfigurationError("need at least two categories for one-vs-rest training")
-    config = config or TrainConfig()
     features = _feature_matrix(features, "features")
     categories = np.asarray(categories, dtype=int)
     if categories.shape != (features.shape[0],):
@@ -196,7 +214,21 @@ def train_category_bank(
         raise TrainingError(f"category {empty} has no labeled examples")
     if (present == features.shape[0]).any():
         raise TrainingError("one-vs-rest training needs negatives for every category")
-    targets = (categories[:, None] == np.arange(n_categories)).astype(float)
+    return features, (categories[:, None] == np.arange(n_categories)).astype(float)
+
+
+def train_category_bank(
+    features: np.ndarray,
+    categories: np.ndarray,
+    n_categories: int,
+    config: TrainConfig | None = None,
+) -> CategoryModelBank:
+    """Train the N one-vs-rest category classifiers in one vectorized pass.
+
+    Each category's negatives are all labeled examples of the other categories.
+    """
+    config = config or TrainConfig()
+    features, targets = _category_targets(features, categories, n_categories)
     weights, bias = _fit(features, targets, config)
     n = features.shape[0]
     return CategoryModelBank(
@@ -244,6 +276,35 @@ def train_attribute_bank(
         if classifiers[j] is None:
             classifiers[j] = _constant_classifier(features.shape[1], float(rates[j]), n)
     return AttributeModelBank(tuple(classifiers))
+
+
+def train_banks(
+    features: np.ndarray,
+    categories: np.ndarray,
+    attributes: np.ndarray,
+    n_categories: int,
+    config: TrainConfig | None = None,
+) -> tuple[CategoryModelBank, AttributeModelBank]:
+    """Train the category and attribute banks on one labeled pool in a single fit.
+
+    The category targets go in front of the attribute targets and the whole
+    stack is fit by one ``train_attribute_bank`` call, so both banks share
+    each gradient step's feature products. Categories are checked as
+    ``train_category_bank`` checks them; every category column then has both
+    classes, so only attribute columns can take the constant fallback. The
+    weights equal those of two separate calls unless the fit stops early
+    (see ``_fit``).
+    """
+    features, targets = _category_targets(features, categories, n_categories)
+    attributes = np.asarray(attributes)
+    if attributes.ndim != 2 or attributes.shape[0] != features.shape[0]:
+        raise ConfigurationError("one attribute row per feature row required")
+    stacked = np.hstack([targets, attributes.astype(float)])
+    classifiers = train_attribute_bank(features, stacked, config).classifiers
+    return (
+        CategoryModelBank(classifiers[:n_categories]),
+        AttributeModelBank(classifiers[n_categories:]),
+    )
 
 
 def category_posterior(bank: CategoryModelBank, x) -> CategoryPosterior:

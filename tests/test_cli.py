@@ -24,6 +24,35 @@ def test_parse_flat_config_rejects_garbage():
         parse_flat_config("not a key value line\n")
 
 
+def test_parse_flat_config_rejects_duplicate_key():
+    with pytest.raises(ConfigurationError, match="duplicate key 'l2'"):
+        parse_flat_config("l2 = 0.1\nmax_iters = 5\nl2 = 0.2\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "max_iters = 100\nmax_iters = 200",
+        "max_iters = 0",
+        "learning_rate = 0",
+        "learning_rate = -1",
+        "learning_rate = inf",
+        "l2 = -0.001",
+        "l2 = nan",
+        "tol = -1e-6",
+        "tol = nan",
+        "transfers_per_category = 0",
+        "prunes_per_category = 0",
+        "prune_every = -3",
+    ],
+)
+def test_load_experiment_config_rejects_invalid_setting(tmp_path, text):
+    path = tmp_path / "cfg.txt"
+    path.write_text(text + "\n")
+    with pytest.raises(ConfigurationError):
+        load_experiment_config(path)
+
+
 def test_load_experiment_config_defaults_and_overrides(tmp_path):
     assert load_experiment_config(None) == ExperimentConfig()
     path = tmp_path / "cfg.txt"

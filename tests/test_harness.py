@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -281,3 +283,43 @@ def test_thread_env_does_not_change_results(small_world, monkeypatch):
     monkeypatch.setenv("COOPATTR_THREADS", "2")
     threaded = run_experiment(LearnerVariant.COOPERATIVE_UNIFORM, small_world, 4, _FAST)
     assert base == threaded
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("transfers_per_category", 0), ("prunes_per_category", 0), ("prune_every", -3)],
+)
+def test_loop_config_rejects_bad_value(field, value):
+    with pytest.raises(ConfigurationError):
+        LoopConfig(**{field: value})
+
+
+# SHA-256 of records_to_csv for 6 iterations of each variant on small_world
+# with _FAST, recorded before the fused category/attribute fit and the
+# branchless sigmoid landed; a change that moves them changes results.
+GOLDEN_RECORDS = {
+    LearnerVariant.SSL_IND: (
+        "8dbba5fb240aa43d1bf9e8f6c7c1f80f76aacb66144de81481dad6acf35af443"
+    ),
+    LearnerVariant.MULTIVIEW_IND: (
+        "74d31f642edd182f67c4285f15d1d270012557a620573fcb51919a91652c2681"
+    ),
+    LearnerVariant.ENSEMBLE_IND: (
+        "1b3c94348064aad1078acea4388da4ce8ef1bee3de8c8a91f0c2d15b388f4d03"
+    ),
+    LearnerVariant.COOPERATIVE_UNIFORM: (
+        "a25c864837acda1f9161b20276ce13582f6d9366f023691f1e7c9f9c56b4bc47"
+    ),
+    LearnerVariant.COOPERATIVE_WEIGHTED: (
+        "495e3c87082a47ed4f7d4ba7cb42d94427f211749aeb87c9718cc55514e332cd"
+    ),
+    LearnerVariant.MAX_ACCURACY_UPPER_BOUND: (
+        "3cb59ca8fd70d1b6fcfff50ac68b4db3ac1bfa877b2606c7cb788b5f68186be3"
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", list(GOLDEN_RECORDS), ids=lambda v: v.name)
+def test_records_match_golden_digest(variant, small_world):
+    text = records_to_csv(run_experiment(variant, small_world, 6, _FAST))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_RECORDS[variant]

@@ -17,7 +17,14 @@ from coopattr import (
     train_binary,
     train_category_bank,
 )
-from coopattr.linear import AttributeModelBank, CategoryModelBank, attribute_accuracy_arrays
+from coopattr.linear import (
+    AttributeModelBank,
+    CategoryModelBank,
+    _sigmoid,
+    _stacked,
+    attribute_accuracy_arrays,
+    train_banks,
+)
 
 
 def _mean_logistic_loss(clf, features, labels):
@@ -231,3 +238,72 @@ def test_attribute_accuracy_arrays_matches_example_path():
         attribute_bank_accuracy(bank, examples),
         attribute_accuracy_arrays(bank, features, attributes),
     )
+
+
+def _masked_sigmoid(z):
+    # The earlier two-branch form, kept verbatim as the bit-level reference.
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_is_bit_identical_to_masked_form():
+    rng = np.random.default_rng(12)
+    edges = [0.0, -0.0, 800.0, -800.0, 1e-320, -1e-320]
+    z = np.concatenate([rng.normal(scale=30.0, size=100_000), edges])
+    with np.errstate(over="raise", invalid="raise"):
+        got = _sigmoid(z)
+        want = _masked_sigmoid(z)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_train_banks_matches_separate_banks():
+    rng = np.random.default_rng(13)
+    features = rng.normal(size=(30, 4))
+    categories = np.arange(30) % 3
+    attributes = (rng.random((30, 3)) < 0.5).astype(np.int8)
+    attributes[:, 1] = 1  # single-class column: the constant fallback runs
+    # tol = 0 keeps every fit stepping to max_iters: the banks stop jointly
+    # once fused, so an early stop is the one case where they may differ.
+    cfg = TrainConfig(max_iters=200, tol=0.0)
+    category_bank, attribute_bank = train_banks(features, categories, attributes, 3, cfg)
+    pairs = [
+        (category_bank, train_category_bank(features, categories, 3, cfg)),
+        (attribute_bank, train_attribute_bank(features, attributes, cfg)),
+    ]
+    for fused, separate in pairs:
+        for got, want in zip(_stacked(fused.classifiers), _stacked(separate.classifiers)):
+            assert np.array_equal(got, want)
+    assert attribute_bank.probs([0.0] * 4)[1] == pytest.approx(1 - 1e-6)
+
+
+def test_train_banks_rejects_missing_category():
+    features = np.array([[1.0], [2.0]])
+    categories = np.array([0, 0])
+    attributes = np.array([[0], [1]])
+    with pytest.raises(TrainingError) as fused:
+        train_banks(features, categories, attributes, 2)
+    with pytest.raises(TrainingError) as separate:
+        train_category_bank(features, categories, 2)
+    assert str(fused.value) == str(separate.value)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_iters", 0),
+        ("learning_rate", 0.0),
+        ("learning_rate", -1.0),
+        ("learning_rate", float("inf")),
+        ("l2", -1e-3),
+        ("l2", float("nan")),
+        ("tol", -1e-6),
+        ("tol", float("nan")),
+    ],
+)
+def test_train_config_rejects_bad_value(field, value):
+    with pytest.raises(ConfigurationError):
+        TrainConfig(**{field: value})
