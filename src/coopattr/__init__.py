@@ -88,7 +88,6 @@ from .synthetic import (
     write_world_text,
 )
 from .transfer import (
-    combined_posterior,
     derive_attribute_labels,
     entropy,
     select_prunes,

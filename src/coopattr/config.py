@@ -59,7 +59,16 @@ class ExperimentConfig:
     noise_rng_seed: int = 0
 
     def __post_init__(self):
-        loop_config(self)  # the loop and training settings check themselves
+        # Build what a run builds, so a bad value fails when the file loads;
+        # each config checks its own fields. The sweep's noise levels are
+        # calibrated at run time, so only their count is checked here.
+        loop_config(self)
+        world_config(self, seed=0)
+        NoiseSweepConfig(
+            study=noise_study_config(self),
+            levels=(0.0,) * self.noise_levels,
+            n_seeds=self.noise_seeds,
+        )
 
 
 def parse_flat_config(text: str) -> dict[str, str]:
@@ -135,19 +144,22 @@ def loop_config(cfg: ExperimentConfig) -> LoopConfig:
     )
 
 
-def noise_sweep_config(cfg: ExperimentConfig) -> NoiseSweepConfig:
-    study = NoiseStudyConfig(
+def noise_study_config(cfg: ExperimentConfig) -> NoiseStudyConfig:
+    return NoiseStudyConfig(
         n_categories=cfg.n_categories,
         n_attributes=cfg.n_attributes,
         labeled_count=cfg.noise_labeled_count,
         test_count=cfg.noise_test_count,
         rng_seed=cfg.noise_rng_seed,
     )
+
+
+def noise_sweep_config(cfg: ExperimentConfig) -> NoiseSweepConfig:
     return default_noise_sweep(
         n_levels=cfg.noise_levels,
         n_seeds=cfg.noise_seeds,
         rng_seed=cfg.noise_rng_seed,
         good_accuracy_target=cfg.good_accuracy_target,
         bad_accuracy_target=cfg.bad_accuracy_target,
-        study=study,
+        study=noise_study_config(cfg),
     )

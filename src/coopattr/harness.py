@@ -146,7 +146,7 @@ class _AgentRun:
 
 
 def _features_for(domain, ids):
-    return np.stack([domain.examples[i].features for i in ids])
+    return domain.feature_matrix[np.searchsorted(domain.ids, ids)]
 
 
 def _labeled_training_data(run, need_attributes: bool):
@@ -197,12 +197,14 @@ def _advance_agent(run, t: int, cfg: LoopConfig, aware: bool, n_categories: int)
         posteriors = _agent_posterior(
             run, _features_for(run.domain, unlabeled_ids), aware, n_categories
         )
-        chosen = select_transfers(
-            list(zip(unlabeled_ids, posteriors)), cfg.transfers_per_category
+        chosen = select_transfers(unlabeled_ids, posteriors, cfg.transfers_per_category)
+        run.pool = move_to_labeled(
+            run.pool,
+            [
+                (ex_id, category, derive_attribute_labels(run.matrix, category) if aware else ())
+                for ex_id, category in chosen
+            ],
         )
-        for ex_id, category in chosen:
-            bits = derive_attribute_labels(run.matrix, category) if aware else ()
-            run.pool = move_to_labeled(run.pool, ex_id, category, bits)
         transfers = len(chosen)
     prunes = 0
     if cfg.prune_every > 0 and t % cfg.prune_every == 0:
@@ -210,11 +212,10 @@ def _advance_agent(run, t: int, cfg: LoopConfig, aware: bool, n_categories: int)
         posteriors = _agent_posterior(
             run, _features_for(run.domain, labeled_ids), aware, n_categories
         )
-        candidates = [
-            (ex_id, run.pool.assignments[ex_id][0], post)
-            for ex_id, post in zip(labeled_ids, posteriors)
-        ]
-        pruned = select_prunes(candidates, cfg.prunes_per_category, run.pool.seed_ids)
+        categories = [run.pool.assignments[ex_id][0] for ex_id in labeled_ids]
+        pruned = select_prunes(
+            labeled_ids, categories, posteriors, cfg.prunes_per_category, run.pool.seed_ids
+        )
         run.pool = prune_from_labeled(run.pool, pruned)
         prunes = len(pruned)
     return transfers, prunes

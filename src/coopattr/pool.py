@@ -179,26 +179,32 @@ def new_pool_state(
 
 
 def move_to_labeled(
-    pool: PoolState,
-    example_id: int,
-    category: int,
-    attributes: Sequence[int],
+    pool: PoolState, moves: Iterable[tuple[int, int, Sequence[int]]]
 ) -> PoolState:
-    """Move one unlabeled example into the labeled pool with its predicted labels."""
-    example_id = int(example_id)
-    if example_id not in pool.unlabeled:
-        raise StateError(f"example {example_id} is not in the unlabeled set")
-    bits = tuple(int(b) for b in attributes)
-    if any(b not in (0, 1) for b in bits):
-        raise ConfigurationError("attribute labels must be binary")
-    assignments = dict(pool.assignments)
-    assignments[example_id] = (int(category), bits)
+    """Move unlabeled examples into the labeled pool with their predicted labels.
+
+    ``moves`` holds (example_id, category, attribute bits) triples; the whole
+    batch becomes one new state. An empty batch returns ``pool`` itself.
+    """
+    added: dict[int, Assignment] = {}
+    for example_id, category, attributes in moves:
+        example_id = int(example_id)
+        if example_id not in pool.unlabeled:
+            raise StateError(f"example {example_id} is not in the unlabeled set")
+        if example_id in added:
+            raise StateError(f"example {example_id} is moved twice in one batch")
+        bits = tuple(int(b) for b in attributes)
+        if any(b not in (0, 1) for b in bits):
+            raise ConfigurationError("attribute labels must be binary")
+        added[example_id] = (int(category), bits)
+    if not added:
+        return pool
     return PoolState(
-        labeled=pool.labeled | {example_id},
-        unlabeled=pool.unlabeled - {example_id},
+        labeled=pool.labeled.union(added),
+        unlabeled=pool.unlabeled.difference(added),
         test=pool.test,
         seed_ids=pool.seed_ids,
-        assignments=assignments,
+        assignments={**pool.assignments, **added},
     )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -97,6 +98,25 @@ class AgentDomain:
                 raise ConfigurationError(
                     f"example {ex.id} has {ex.features.size} features, expected {self.feature_dim}"
                 )
+        pool = self.pool
+        if not pool.labeled.union(pool.unlabeled, pool.test).issubset(self.examples):
+            raise ConfigurationError("every pool id needs an example")
+
+    # Built on first use, not with the domain, so world generation stays as
+    # cheap as before; scoring then indexes rows instead of re-stacking them.
+    @cached_property
+    def ids(self) -> np.ndarray:
+        """Every example id, ascending."""
+        ids = np.array(sorted(self.examples), dtype=np.int64)
+        ids.setflags(write=False)
+        return ids
+
+    @cached_property
+    def feature_matrix(self) -> np.ndarray:
+        """The ``(n, feature_dim)`` feature rows, in the order of ``ids``."""
+        matrix = np.stack([self.examples[i].features for i in self.ids.tolist()])
+        matrix.setflags(write=False)
+        return matrix
 
 
 @dataclass(frozen=True)
@@ -126,6 +146,8 @@ def contrast_ground_truth_matrix(
     Profiles are redrawn until every pair differs in at least ``min_hamming``
     attributes, so no two categories are near-indistinguishable by attributes.
     """
+    if not low < high:
+        raise ConfigurationError("the low presence rate must be below the high one")
     if n_categories > 2**n_attributes:
         raise ConfigurationError("more categories than distinct binary profiles")
     for _ in range(10_000):

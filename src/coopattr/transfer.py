@@ -1,64 +1,74 @@
-"""Multi-view scoring and the per-iteration transfer/prune selection rules.
+"""Entropy ranking and the per-iteration transfer/prune selection rules.
 
-Candidates are ranked by the entropy of their combined category posterior:
+Candidates arrive as arrays: one id per row and one ``(n, k)`` matrix of
+combined category posteriors. They are ranked by the entropy of their row:
 lowest-entropy unlabeled examples are transferred (most confident), and
-highest-entropy labeled examples are pruned (least confident). All ties break
-toward the lower example id so runs are reproducible.
+highest-entropy labeled examples are pruned (least confident). Each category
+group is ranked with one ``np.lexsort`` on (category, entropy, id), so ties
+break toward the lower example id and runs are reproducible.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .pool import AttributeCategoryMatrix, CategoryPosterior
+from .pool import AttributeCategoryMatrix
 
 
-def _probs(posterior) -> np.ndarray:
-    if isinstance(posterior, CategoryPosterior):
-        return posterior.probs
-    return np.asarray(posterior, dtype=float)
+def entropy(posterior):
+    """Shannon entropy in nats over the last axis, with 0 * log 0 taken as 0.
+
+    A 1-D posterior gives a float, an ``(n, k)`` matrix one entropy per row.
+    On a strictly positive row the result is bit-identical to summing only
+    the positive terms. A row with exact zeros can differ from that form in
+    the last bit, because the zero terms stay in the pairwise sum and change
+    its grouping; the harness never scores such rows, since every posterior
+    it ranks averages in the clamped, strictly positive feature posterior.
+    """
+    p = np.ascontiguousarray(posterior, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -np.where(p > 0.0, p * np.log(p), 0.0).sum(axis=-1)
+    return float(h) if h.ndim == 0 else h
 
 
-def combined_posterior(p_fc, p_ac) -> CategoryPosterior:
-    """Elementwise mean of the feature view and the attribute view."""
-    a = _probs(p_fc)
-    b = _probs(p_ac)
-    if a.shape != b.shape:
-        raise ConfigurationError("posteriors have different lengths")
-    return CategoryPosterior((a + b) / 2.0)
+def _first_per_category(ids, categories, keys, count: int) -> np.ndarray:
+    """Row indices of the ``count`` smallest (key, id) rows of each category.
+
+    Rows come out by ascending category, then key, then id.
+    """
+    order = np.lexsort((ids, keys, categories))
+    ranked = categories[order]
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    group_start = np.repeat(starts, np.diff(np.r_[starts, ranked.size]))
+    return order[np.arange(ranked.size) - group_start < count]
 
 
-def entropy(posterior) -> float:
-    """Shannon entropy in nats, with 0 * log 0 taken as 0."""
-    p = _probs(posterior)
-    positive = p > 0.0
-    return float(-(p[positive] * np.log(p[positive])).sum())
+def _rows(ids, posteriors) -> tuple[np.ndarray, np.ndarray]:
+    ids = np.asarray(ids, dtype=np.int64)
+    probs = np.asarray(posteriors, dtype=float)
+    if ids.ndim != 1 or probs.ndim != 2 or probs.shape[0] != ids.size:
+        raise ConfigurationError("need one posterior row per candidate id")
+    return ids, probs
 
 
-def select_transfers(
-    candidates: Sequence[tuple[int, object]], per_category_count: int
-) -> list[tuple[int, int]]:
+def select_transfers(ids, posteriors, per_category_count: int) -> list[tuple[int, int]]:
     """Pick the most confident unlabeled candidates per predicted category.
 
-    ``candidates`` pairs an example id with its combined posterior. Candidates
-    are grouped by the posterior argmax; within each group the
-    ``per_category_count`` lowest-entropy ids win (fewer if the group is
-    smaller). Returns (example_id, predicted_category) pairs.
+    ``posteriors`` holds one combined posterior row per id. Candidates are
+    grouped by the row argmax; within each group the ``per_category_count``
+    lowest-entropy ids win (fewer if the group is smaller). Returns
+    (example_id, predicted_category) pairs by ascending category.
     """
     if per_category_count < 1:
         raise ConfigurationError("per_category_count must be at least 1")
-    groups: dict[int, list[tuple[float, int]]] = {}
-    for example_id, posterior in candidates:
-        p = _probs(posterior)
-        category = int(np.argmax(p))
-        groups.setdefault(category, []).append((entropy(p), int(example_id)))
-    chosen: list[tuple[int, int]] = []
-    for category in sorted(groups):
-        ranked = sorted(groups[category])[:per_category_count]
-        chosen.extend((example_id, category) for _, example_id in ranked)
-    return chosen
+    if len(ids) == 0:
+        return []
+    ids, probs = _rows(ids, posteriors)
+    categories = np.argmax(probs, axis=1)
+    keep = _first_per_category(ids, categories, entropy(probs), per_category_count)
+    return list(zip(ids[keep].tolist(), categories[keep].tolist()))
 
 
 def derive_attribute_labels(matrix: AttributeCategoryMatrix, category: int) -> np.ndarray:
@@ -71,27 +81,29 @@ def derive_attribute_labels(matrix: AttributeCategoryMatrix, category: int) -> n
 
 
 def select_prunes(
-    candidates: Sequence[tuple[int, int, object]],
+    ids,
+    categories,
+    posteriors,
     per_category_count: int,
     protected_ids: Iterable[int] = (),
 ) -> list[int]:
     """Pick the least confident labeled examples per assigned category.
 
-    ``candidates`` carries (example_id, assigned_category, combined posterior).
-    Protected (seed) ids are never selected. Within each category the
-    ``per_category_count`` highest-entropy ids are returned.
+    Row ``i`` of ``posteriors`` is the combined posterior of ``ids[i]``,
+    whose assigned category is ``categories[i]``. Protected (seed) ids are
+    never selected. Within each category the ``per_category_count``
+    highest-entropy ids are returned, by ascending category.
     """
     if per_category_count < 1:
         raise ConfigurationError("per_category_count must be at least 1")
-    protected = frozenset(int(i) for i in protected_ids)
-    groups: dict[int, list[tuple[float, int]]] = {}
-    for example_id, category, posterior in candidates:
-        example_id = int(example_id)
-        if example_id in protected:
-            continue
-        groups.setdefault(int(category), []).append((-entropy(_probs(posterior)), example_id))
-    chosen: list[int] = []
-    for category in sorted(groups):
-        ranked = sorted(groups[category])[:per_category_count]
-        chosen.extend(example_id for _, example_id in ranked)
-    return chosen
+    if len(ids) == 0:
+        return []
+    ids, probs = _rows(ids, posteriors)
+    categories = np.asarray(categories, dtype=np.int64)
+    if categories.shape != ids.shape:
+        raise ConfigurationError("need one assigned category per candidate id")
+    protected = np.fromiter((int(i) for i in protected_ids), dtype=np.int64)
+    open_rows = ~np.isin(ids, protected)
+    ids, categories, probs = ids[open_rows], categories[open_rows], probs[open_rows]
+    keep = _first_per_category(ids, categories, -entropy(probs), per_category_count)
+    return ids[keep].tolist()

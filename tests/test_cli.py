@@ -44,6 +44,13 @@ def test_parse_flat_config_rejects_duplicate_key():
         "transfers_per_category = 0",
         "prunes_per_category = 0",
         "prune_every = -3",
+        "world_matrix_low = 0.5\nworld_matrix_high = 0.5",
+        "unlabeled_per_category = 0",
+        "n_categories = 1",
+        "attribute_flip_rate = 1.0",
+        "noise_levels = 0",
+        "noise_seeds = 0",
+        "noise_test_count = 0",
     ],
 )
 def test_load_experiment_config_rejects_invalid_setting(tmp_path, text):

@@ -65,9 +65,14 @@ def test_compute_purity_counts_and_distractor_rule():
     pool = new_pool_state([], [0, 1, 2], [], {})
     from coopattr import move_to_labeled
 
-    pool = move_to_labeled(pool, 0, 0, [])  # correct
-    pool = move_to_labeled(pool, 1, 0, [])  # wrong category
-    pool = move_to_labeled(pool, 2, 1, [])  # distractor, always wrong
+    pool = move_to_labeled(
+        pool,
+        [
+            (0, 0, []),  # correct
+            (1, 0, []),  # wrong category
+            (2, 1, []),  # distractor, always wrong
+        ],
+    )
     assert compute_purity(pool, examples) == pytest.approx(1 / 3)
 
 
@@ -229,6 +234,17 @@ def _cloned_world(n_categories=3, n_attributes=4, seed=5):
         domains.append(AgentDomain(agent, 6, examples, pool))
         test_orders.append(by_split["test"])
     return SyntheticWorld(config, (domains[0], domains[1]), tuple(zip(*test_orders)))
+
+
+def test_features_for_matches_stacked_examples():
+    world = _cloned_world()
+    domain = world.domains[1]
+    ids = np.array(sorted(domain.examples))
+    np.random.default_rng(3).shuffle(ids)
+    expected = np.stack([domain.examples[i].features for i in ids])
+    got = harness._features_for(domain, ids)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def test_cooperative_equals_multiview_on_iteration_one_with_cloned_agents():

@@ -39,7 +39,7 @@ def test_new_pool_state_rejects_overlap():
 
 def test_move_to_labeled_transfers_id():
     pool = new_pool_state({1}, {3, 5}, {4})
-    moved = move_to_labeled(pool, 3, 2, [1, 0, 1])
+    moved = move_to_labeled(pool, [(3, 2, [1, 0, 1])])
     assert 3 in moved.labeled and 3 not in moved.unlabeled
     assert moved.assignments[3] == (2, (1, 0, 1))
     assert moved.seed_ids == {1}
@@ -48,18 +48,50 @@ def test_move_to_labeled_transfers_id():
 def test_move_to_labeled_rejects_already_labeled():
     pool = new_pool_state({1}, {3}, {4})
     with pytest.raises(StateError):
-        move_to_labeled(pool, 1, 0, [0])
+        move_to_labeled(pool, [(1, 0, [0])])
 
 
 def test_move_to_labeled_rejects_test_example():
     pool = new_pool_state({1}, {3}, {4})
     with pytest.raises(StateError):
-        move_to_labeled(pool, 4, 0, [0])
+        move_to_labeled(pool, [(4, 0, [0])])
+
+
+def test_move_to_labeled_moves_a_batch_in_one_state():
+    pool = new_pool_state({1}, {3, 5, 6}, {4})
+    moved = move_to_labeled(pool, [(5, 0, [1]), (3, 1, [0])])
+    assert moved.labeled == {1, 3, 5} and moved.unlabeled == {6}
+    assert isinstance(moved.labeled, frozenset) and isinstance(moved.unlabeled, frozenset)
+    assert moved.assignments[5] == (0, (1,)) and moved.assignments[3] == (1, (0,))
+    assert pool.labeled == {1} and 3 not in pool.assignments  # the input is unchanged
+
+
+def test_move_to_labeled_empty_batch_is_identity():
+    pool = new_pool_state({1}, {3}, {4})
+    assert move_to_labeled(pool, []) is pool
+
+
+def test_move_to_labeled_rejects_duplicate_in_batch():
+    pool = new_pool_state({1}, {3, 5}, {4})
+    with pytest.raises(StateError):
+        move_to_labeled(pool, [(3, 0, [1]), (5, 0, [1]), (3, 1, [0])])
+
+
+def test_move_to_labeled_rejects_unknown_id():
+    pool = new_pool_state({1}, {3}, {4})
+    with pytest.raises(StateError):
+        move_to_labeled(pool, [(3, 0, [1]), (99, 0, [1])])
+
+
+def test_move_to_labeled_rejects_non_binary_bits():
+    pool = new_pool_state({1}, {3}, {4})
+    with pytest.raises(ConfigurationError):
+        move_to_labeled(pool, [(3, 0, [2])])
 
 
 def test_prune_returns_to_unlabeled_and_clears_assignment():
     pool = new_pool_state({1}, {3}, {4})
-    pool = move_to_labeled(pool, 3, 2, [1, 0])
+    pool = move_to_labeled(pool, [(3, 2, [1, 0])])
     pruned = prune_from_labeled(pool, {3})
     assert 3 in pruned.unlabeled and 3 not in pruned.labeled
     assert 3 not in pruned.assignments
@@ -84,7 +116,7 @@ def test_prune_rejects_unknown_id():
 
 def test_move_then_prune_restores_membership():
     pool = new_pool_state({1}, {3, 7}, {4})
-    after = prune_from_labeled(move_to_labeled(pool, 7, 1, [1]), {7})
+    after = prune_from_labeled(move_to_labeled(pool, [(7, 1, [1])]), {7})
     assert after.labeled == pool.labeled
     assert after.unlabeled == pool.unlabeled
     assert after.test == pool.test
@@ -97,7 +129,7 @@ def test_random_op_sequences_conserve_totals(ops):
     total = pool.size
     for is_move, ex_id in ops:
         if is_move and ex_id in pool.unlabeled:
-            pool = move_to_labeled(pool, ex_id, 0, [1, 0])
+            pool = move_to_labeled(pool, [(ex_id, 0, [1, 0])])
         elif not is_move and ex_id in pool.labeled and ex_id not in pool.seed_ids:
             pool = prune_from_labeled(pool, {ex_id})
     assert pool.size == total

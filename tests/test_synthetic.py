@@ -5,7 +5,9 @@ import pytest
 
 from coopattr import (
     DISTRACTOR,
+    AgentDomain,
     ConfigurationError,
+    Example,
     NoiseStudyConfig,
     SplitSizes,
     SyntheticWorldConfig,
@@ -16,6 +18,7 @@ from coopattr import (
     generate_noise_study,
     generate_world,
     good_attribute_sets,
+    new_pool_state,
     noise_sweep,
     random_ground_truth_matrix,
     read_world_text,
@@ -274,3 +277,17 @@ def test_world_config_validation():
         _world_config(attribute_flip_rate=1.5)
     with pytest.raises(ConfigurationError):
         _world_config(n_distractors=-1)
+
+
+def test_agent_domain_arrays_follow_sorted_ids():
+    examples = {i: Example(id=i, features=[float(i), -1.0]) for i in (7, 2, 5)}
+    domain = AgentDomain(0, 2, examples, new_pool_state([2], [7], [5]))
+    assert domain.ids.tolist() == [2, 5, 7]
+    assert domain.feature_matrix[:, 0].tolist() == [2.0, 5.0, 7.0]
+    assert domain.feature_matrix is domain.feature_matrix  # stacked once
+
+
+def test_agent_domain_rejects_pool_id_without_example():
+    examples = {i: Example(id=i, features=[0.0]) for i in (1, 2)}
+    with pytest.raises(ConfigurationError):
+        AgentDomain(0, 1, examples, new_pool_state([1], [2, 3], []))
