@@ -9,7 +9,6 @@ from .crf import (
     brute_force_posterior,
     crf_posterior,
     crf_posterior_batch,
-    estimate_matrix,
     estimate_matrix_from_labels,
 )
 from .errors import (

@@ -18,6 +18,7 @@ from .synthetic import (
     NoiseStudyConfig,
     SplitSizes,
     SyntheticWorldConfig,
+    check_accuracy_target,
     contrast_ground_truth_matrix,
 )
 
@@ -61,7 +62,8 @@ class ExperimentConfig:
     def __post_init__(self):
         # Build what a run builds, so a bad value fails when the file loads;
         # each config checks its own fields. The sweep's noise levels are
-        # calibrated at run time, so only their count is checked here.
+        # calibrated at run time, so only their count and targets are
+        # checked here.
         loop_config(self)
         world_config(self, seed=0)
         NoiseSweepConfig(
@@ -69,6 +71,8 @@ class ExperimentConfig:
             levels=(0.0,) * self.noise_levels,
             n_seeds=self.noise_seeds,
         )
+        check_accuracy_target(self.good_accuracy_target, "good_accuracy_target")
+        check_accuracy_target(self.bad_accuracy_target, "bad_accuracy_target")
 
 
 def parse_flat_config(text: str) -> dict[str, str]:

@@ -10,7 +10,9 @@ message
     rate(j, i) * p(a_j present | x) + (1 - rate(j, i)) * (1 - p(a_j present | x)).
 
 Messages are accumulated in log space to avoid underflow; the priors are
-constant across categories and cancel in the normalization.
+constant across categories and cancel in the normalization. The batch kernel
+works category-major, one attribute at a time, on (N, n) slabs; see
+:func:`crf_posterior_batch` for why that keeps every bit of the result.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, FeasibilityError
-from .pool import AttributeCategoryMatrix, CategoryPosterior, Example
+from .pool import AttributeCategoryMatrix, CategoryPosterior
 
 #: Matrix entries are exact fractions in storage; they are clamped into
 #: (0, 1) only at inference time so no message factor can be exactly zero.
@@ -60,21 +62,6 @@ def estimate_matrix_from_labels(
     return AttributeCategoryMatrix(values)
 
 
-def estimate_matrix(
-    labeled_examples: Sequence[Example], n_categories: int, n_attributes: int
-) -> AttributeCategoryMatrix:
-    """Presence-rate matrix from labeled examples carrying assigned labels."""
-    for ex in labeled_examples:
-        if ex.assigned_category is None or ex.assigned_attributes is None:
-            raise ConfigurationError(f"example {ex.id} has no assigned labels")
-    categories = np.array([ex.assigned_category for ex in labeled_examples], dtype=int)
-    if labeled_examples:
-        attributes = np.stack([ex.assigned_attributes for ex in labeled_examples])
-    else:
-        attributes = np.zeros((0, n_attributes), dtype=np.int8)
-    return estimate_matrix_from_labels(categories, attributes, n_categories, n_attributes)
-
-
 def _conditioned(matrix, attr_probs, n_categories):
     values = matrix.values if isinstance(matrix, AttributeCategoryMatrix) else np.asarray(matrix, float)
     if values.ndim != 2:
@@ -100,18 +87,39 @@ def crf_posterior_batch(
 ) -> np.ndarray:
     """Category posteriors for a batch of attribute-probability rows.
 
-    Returns an (n_examples, n_categories) array whose rows sum to 1.
+    Returns a C-contiguous (n_examples, n_categories) array whose rows sum
+    to 1.
+
+    The kernel works category-major: it keeps (n_categories, n_examples)
+    slabs and adds one attribute's log-messages at a time, in ascending
+    attribute order, so every ufunc runs over the contiguous example axis and
+    no (n, M, N) message tensor is built. That is the order in which numpy
+    reduces the middle axis of the (n, M, N) form, so the log-scores are the
+    same sums, bit for bit. The normaliser is summed on a C-contiguous
+    (n, N) copy: numpy sums a contiguous last axis pairwise once it has 8 or
+    more elements, and a sum down the slab's first axis would group the
+    terms differently and move the last bit.
     """
     rates, probs = _conditioned(matrix, attr_probs, n_categories)
     if probs.ndim != 2:
         raise ConfigurationError("attr_probs batch must be (n_examples, n_attributes)")
-    messages = probs[:, :, None] * rates[None, :, :] + (1.0 - probs)[:, :, None] * (
-        1.0 - rates
-    )[None, :, :]
-    log_scores = np.log(messages).sum(axis=1)
-    log_scores -= log_scores.max(axis=1, keepdims=True)
-    scores = np.exp(log_scores)
-    return scores / scores.sum(axis=1, keepdims=True)
+    p_t = np.ascontiguousarray(probs.T)
+    q_t = 1.0 - p_t
+    off = 1.0 - rates
+    shape = (n_categories, probs.shape[0])
+    term, other, log_scores = np.empty(shape), np.empty(shape), np.zeros(shape)
+    # 0.0 + x == x exactly and log never returns -0.0, so starting from zeros
+    # changes no bit; with no attributes every row stays uniform.
+    for j in range(rates.shape[0]):
+        np.multiply(rates[j, :, None], p_t[j], out=term)
+        np.multiply(off[j, :, None], q_t[j], out=other)
+        term += other
+        np.log(term, out=term)
+        log_scores += term
+    log_scores -= log_scores.max(axis=0)
+    scores = np.exp(log_scores, out=log_scores)
+    scores /= np.ascontiguousarray(scores.T).sum(axis=1)
+    return np.ascontiguousarray(scores.T)
 
 
 def crf_posterior(

@@ -122,13 +122,12 @@ def compute_class_average_accuracy(predictions, truths, n_categories: int) -> fl
         raise ConfigurationError("predictions and truths differ in length")
     if truths.size == 0 or truths.min() < 0 or truths.max() >= n_categories:
         raise ConfigurationError("every truth must be one of the target categories")
-    per_category = []
-    for category in range(n_categories):
-        mask = truths == category
-        if not mask.any():
-            raise ConfigurationError(f"category {category} has no test examples")
-        per_category.append(float((predictions[mask] == category).mean()))
-    return fmean(per_category)
+    counts = np.bincount(truths, minlength=n_categories)
+    missing = np.flatnonzero(counts == 0)
+    if missing.size:
+        raise ConfigurationError(f"category {missing[0]} has no test examples")
+    hits = np.bincount(truths[predictions == truths], minlength=n_categories)
+    return fmean((hits / counts).tolist())
 
 
 class _AgentRun:

@@ -461,6 +461,16 @@ def noise_sweep(levels: Sequence[float], config: NoiseStudyConfig) -> list[Noise
     ]
 
 
+def check_accuracy_target(target_accuracy: float, name: str = "target accuracy") -> None:
+    """Reject a binary accuracy target outside the open interval (0.5, 1.0).
+
+    Calibration can only reach accuracies strictly between chance and
+    perfect; NaN fails too.
+    """
+    if not 0.5 < target_accuracy < 1.0:
+        raise ConfigurationError(f"{name} must be in (0.5, 1.0), got {target_accuracy!r}")
+
+
 def calibrate_noise_std(
     target_accuracy: float, rng_seed: int = 0, n_samples: int = 200_000
 ) -> float:
@@ -470,8 +480,7 @@ def calibrate_noise_std(
     is monotone decreasing in the noise level, from 1.0 at zero noise toward
     chance (0.5).
     """
-    if not 0.5 < target_accuracy < 1.0:
-        raise ConfigurationError("target accuracy must be in (0.5, 1.0)")
+    check_accuracy_target(target_accuracy)
     rng = np.random.default_rng([rng_seed, _STREAM_CALIBRATION])
     bits = rng.random(n_samples) < 0.5
     draws = rng.standard_normal(n_samples)

@@ -51,6 +51,14 @@ def test_parse_flat_config_rejects_duplicate_key():
         "noise_levels = 0",
         "noise_seeds = 0",
         "noise_test_count = 0",
+        "good_accuracy_target = 0.5",
+        "good_accuracy_target = 1.0",
+        "good_accuracy_target = 0.3",
+        "good_accuracy_target = nan",
+        "bad_accuracy_target = 0.5",
+        "bad_accuracy_target = 1.0",
+        "bad_accuracy_target = 0.3",
+        "bad_accuracy_target = nan",
     ],
 )
 def test_load_experiment_config_rejects_invalid_setting(tmp_path, text):

@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 from coopattr import (
     AttributeCategoryMatrix,
     ConfigurationError,
-    Example,
     FeasibilityError,
     brute_force_posterior,
     crf_posterior,
-    estimate_matrix,
     estimate_matrix_from_labels,
 )
-from coopattr.crf import MATRIX_CLAMP, crf_posterior_batch
+from coopattr.crf import MATRIX_CLAMP, _conditioned, crf_posterior_batch
 
 
 def _enumerated_scores(rates, probs, n_categories):
@@ -167,30 +165,64 @@ def test_batch_matches_single_example_path():
         assert np.allclose(row, crf_posterior(matrix, unary, 5).probs, atol=1e-12)
 
 
+def _broadcast_posterior_batch(matrix, attr_probs, n_categories):
+    # The earlier (n, M, N) broadcast form of crf_posterior_batch, verbatim.
+    rates, probs = _conditioned(matrix, attr_probs, n_categories)
+    if probs.ndim != 2:
+        raise ConfigurationError("attr_probs batch must be (n_examples, n_attributes)")
+    messages = probs[:, :, None] * rates[None, :, :] + (1.0 - probs)[:, :, None] * (
+        1.0 - rates
+    )[None, :, :]
+    log_scores = np.log(messages).sum(axis=1)
+    log_scores -= log_scores.max(axis=1, keepdims=True)
+    scores = np.exp(log_scores)
+    return scores / scores.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_examples=st.one_of(st.just(0), st.integers(1, 300)),
+    n_attributes=st.integers(0, 25),
+    # Below, inside and above numpy's pairwise-sum block sizes (8 and 128).
+    n_categories=st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 260)),
+)
+def test_category_major_kernel_is_bit_identical_to_broadcast_form(
+    seed, n_examples, n_attributes, n_categories
+):
+    rng = np.random.default_rng(seed)
+    rates = rng.uniform(0, 1, (n_attributes, n_categories))
+    rates[rng.random(rates.shape) < 0.1] = 0.0  # clamped at inference
+    rates[rng.random(rates.shape) < 0.1] = 1.0
+    probs = rng.uniform(0, 1, (n_examples, n_attributes)).clip(1e-12, 1 - 1e-12)
+    probs[rng.random(probs.shape) < 0.05] = 1e-12
+    probs[rng.random(probs.shape) < 0.05] = 1 - 1e-12
+    expected = _broadcast_posterior_batch(rates, probs, n_categories)
+    got = crf_posterior_batch(rates, probs, n_categories)
+    assert got.shape == expected.shape == (n_examples, n_categories)
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 def test_estimate_matrix_counts_fractions():
-    examples = [
-        Example(id=i, features=[0.0], assigned_category=0, assigned_attributes=[bit])
-        for i, bit in enumerate([1, 1, 1, 0, 0])
-    ]
-    matrix = estimate_matrix(examples, n_categories=2, n_attributes=1)
+    matrix = estimate_matrix_from_labels(
+        np.zeros(5, int), np.array([[1], [1], [1], [0], [0]]), n_categories=2, n_attributes=1
+    )
     assert matrix.values[0, 0] == pytest.approx(0.6)
 
 
 def test_estimate_matrix_zero_count_category_gets_half_column():
-    examples = [
-        Example(id=0, features=[0.0], assigned_category=0, assigned_attributes=[1, 0])
-    ]
-    matrix = estimate_matrix(examples, n_categories=3, n_attributes=2)
+    matrix = estimate_matrix_from_labels(
+        np.array([0]), np.array([[1, 0]]), n_categories=3, n_attributes=2
+    )
     assert np.allclose(matrix.values[:, 1], 0.5)
     assert np.allclose(matrix.values[:, 2], 0.5)
 
 
 def test_estimate_matrix_saturated_entry_kept_exact_then_clamped_at_inference():
-    examples = [
-        Example(id=i, features=[0.0], assigned_category=0, assigned_attributes=[1])
-        for i in range(4)
-    ]
-    matrix = estimate_matrix(examples, n_categories=2, n_attributes=1)
+    matrix = estimate_matrix_from_labels(
+        np.zeros(4, int), np.ones((4, 1)), n_categories=2, n_attributes=1
+    )
     assert matrix.values[0, 0] == 1.0
     post = crf_posterior(matrix, [0.6], 2)  # must not produce -inf logs
     assert np.isfinite(post.probs).all()
@@ -202,7 +234,3 @@ def test_estimate_matrix_rejects_zero_dimensions():
     with pytest.raises(ConfigurationError):
         estimate_matrix_from_labels(np.zeros(0, int), np.zeros((0, 0)), 2, 0)
 
-
-def test_estimate_matrix_requires_assignments():
-    with pytest.raises(ConfigurationError):
-        estimate_matrix([Example(id=0, features=[0.0])], 2, 1)

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import hashlib
+from statistics import fmean
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coopattr.harness as harness
 from coopattr import (
@@ -99,6 +102,40 @@ def test_class_average_accuracy_uniform_random_is_chance():
 def test_class_average_accuracy_rejects_missing_category():
     with pytest.raises(ConfigurationError):
         compute_class_average_accuracy([0, 0], [0, 0], 2)
+
+
+def _per_category_loop_accuracy(predictions, truths, n_categories):
+    # The earlier per-category loop of compute_class_average_accuracy.
+    per_category = []
+    for category in range(n_categories):
+        mask = truths == category
+        per_category.append(float((predictions[mask] == category).mean()))
+    return fmean(per_category)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(0, 300))
+def test_class_average_accuracy_matches_per_category_loop(seed, n_categories, extra):
+    rng = np.random.default_rng(seed)
+    truths = rng.permutation(
+        np.concatenate([np.arange(n_categories), rng.integers(0, n_categories, extra)])
+    )
+    guesses = rng.integers(-1, n_categories + 1, truths.size)
+    predictions = np.where(rng.random(truths.size) < rng.random(), truths, guesses)
+    got = compute_class_average_accuracy(predictions, truths, n_categories)
+    expected = _per_category_loop_accuracy(predictions, truths, n_categories)
+    assert np.float64(got).view(np.int64) == np.float64(expected).view(np.int64)
+
+
+def test_class_average_accuracy_checks_keep_their_messages():
+    with pytest.raises(ConfigurationError, match="differ in length"):
+        compute_class_average_accuracy([0, 1], [0, 1, 1], 2)
+    with pytest.raises(ConfigurationError, match="target categories"):
+        compute_class_average_accuracy([0, 1], [0, 2], 2)
+    with pytest.raises(ConfigurationError, match="target categories"):
+        compute_class_average_accuracy([0, 1], [-1, 1], 2)
+    with pytest.raises(ConfigurationError, match="category 1 has no test examples"):
+        compute_class_average_accuracy([0, 0, 2], [0, 0, 2], 3)
 
 
 @pytest.mark.parametrize(
