@@ -39,12 +39,8 @@ from .linear import (
     CategoryModelBank,
     LinearClassifier,
     TrainConfig,
-    attribute_bank_accuracy,
-    attribute_probs,
-    category_posterior,
     train_attribute_bank,
     train_banks,
-    train_binary,
     train_category_bank,
 )
 from .messages import (
@@ -53,8 +49,6 @@ from .messages import (
     encode_message,
     fuse_uniform,
     fuse_weighted,
-    message_from_json,
-    message_to_json,
     read_message_file,
     write_message_file,
 )
@@ -62,7 +56,6 @@ from .pool import (
     DISTRACTOR,
     AttributeCategoryMatrix,
     CategoryPosterior,
-    Example,
     PoolState,
     move_to_labeled,
     new_pool_state,
@@ -81,10 +74,6 @@ from .synthetic import (
     generate_noise_study,
     generate_world,
     good_attribute_sets,
-    noise_sweep,
-    random_ground_truth_matrix,
-    read_world_text,
-    write_world_text,
 )
 from .transfer import (
     derive_attribute_labels,

@@ -37,7 +37,16 @@ from .linear import (
     train_category_bank,
 )
 from .messages import fuse_uniform, fuse_weighted
-from .pool import DISTRACTOR, PoolState, move_to_labeled, prune_from_labeled
+from .pool import (
+    DISTRACTOR,
+    LABELED,
+    TEST,
+    UNASSIGNED,
+    UNLABELED,
+    PoolState,
+    move_to_labeled,
+    prune_from_labeled,
+)
 from .synthetic import (
     NoiseStudyConfig,
     SyntheticWorld,
@@ -97,21 +106,21 @@ class IterationRecord:
 CSV_COLUMNS = ("iteration", "agent", "accuracy", "purity", "attr_acc_mean", "transfers", "prunes")
 
 
-def compute_purity(pool: PoolState, examples) -> float:
+def compute_purity(pool: PoolState, true_category) -> float:
     """Fraction of the labeled pool whose assigned category matches ground truth.
 
-    Distractors never match; seeds match by construction.
+    ``true_category`` holds one true category per pool row. Distractors never
+    match; seeds match by construction.
     """
-    if not pool.labeled:
+    labeled = pool.split == LABELED
+    count = int(np.count_nonzero(labeled))
+    if not count:
         raise StateError("purity is undefined for an empty labeled pool")
-    correct = 0
-    for ex_id in pool.labeled:
-        assignment = pool.assignments.get(ex_id)
-        if assignment is None:
-            raise StateError(f"labeled example {ex_id} has no assignment")
-        if assignment[0] == examples[ex_id].true_category:
-            correct += 1
-    return correct / len(pool.labeled)
+    assigned = pool.category[labeled]
+    unassigned = assigned == UNASSIGNED
+    if unassigned.any():
+        raise StateError(f"labeled example {pool.ids[labeled][unassigned][0]} has no assignment")
+    return int(np.count_nonzero(assigned == np.asarray(true_category)[labeled])) / count
 
 
 def compute_class_average_accuracy(predictions, truths, n_categories: int) -> float:
@@ -145,39 +154,27 @@ class _AgentRun:
 
 
 def _features_for(domain, ids):
-    return domain.feature_matrix[np.searchsorted(domain.ids, ids)]
-
-
-def _labeled_training_data(run, need_attributes: bool):
-    ids = sorted(run.pool.labeled)
-    features = _features_for(run.domain, ids)
-    categories = np.fromiter(
-        (run.pool.assignments[i][0] for i in ids), dtype=int, count=len(ids)
-    )
-    attributes = None
-    if need_attributes:
-        attributes = np.array([run.pool.assignments[i][1] for i in ids], dtype=np.int8)
-    return features, categories, attributes
+    return domain.features[np.searchsorted(domain.ids, ids)]
 
 
 def _train_agent(run, world, cfg: LoopConfig, aware: bool, weighted: bool):
     n_cat = world.config.n_categories
     n_attr = world.config.n_attributes
-    features, categories, attributes = _labeled_training_data(run, aware)
+    pool, domain = run.pool, run.domain
+    labeled = pool.split == LABELED
+    features, categories = domain.features[labeled], pool.category[labeled]
     if not aware:
         run.category_bank = train_category_bank(features, categories, n_cat, cfg.train)
     else:
+        attributes = pool.bits[labeled]
         run.category_bank, run.attribute_bank = train_banks(
             features, categories, attributes, n_cat, cfg.train
         )
         run.matrix = estimate_matrix_from_labels(categories, attributes, n_cat, n_attr)
         if weighted:
-            seed_ids = sorted(run.pool.seed_ids)
-            seed_features = _features_for(run.domain, seed_ids)
-            seed_truth = np.stack(
-                [run.domain.examples[i].true_attributes for i in seed_ids]
+            run.q = attribute_accuracy_arrays(
+                run.attribute_bank, domain.features[pool.seed], domain.true_bits[pool.seed]
             )
-            run.q = attribute_accuracy_arrays(run.attribute_bank, seed_features, seed_truth)
 
 
 def _agent_posterior(run, features, aware: bool, n_categories: int):
@@ -190,13 +187,14 @@ def _agent_posterior(run, features, aware: bool, n_categories: int):
 
 
 def _advance_agent(run, t: int, cfg: LoopConfig, aware: bool, n_categories: int):
+    features = run.domain.features
     transfers = 0
-    unlabeled_ids = sorted(run.pool.unlabeled)
-    if unlabeled_ids:
-        posteriors = _agent_posterior(
-            run, _features_for(run.domain, unlabeled_ids), aware, n_categories
+    unlabeled = np.flatnonzero(run.pool.split == UNLABELED)
+    if unlabeled.size:
+        posteriors = _agent_posterior(run, features[unlabeled], aware, n_categories)
+        chosen = select_transfers(
+            run.pool.ids[unlabeled], posteriors, cfg.transfers_per_category
         )
-        chosen = select_transfers(unlabeled_ids, posteriors, cfg.transfers_per_category)
         run.pool = move_to_labeled(
             run.pool,
             [
@@ -207,60 +205,50 @@ def _advance_agent(run, t: int, cfg: LoopConfig, aware: bool, n_categories: int)
         transfers = len(chosen)
     prunes = 0
     if cfg.prune_every > 0 and t % cfg.prune_every == 0:
-        labeled_ids = sorted(run.pool.labeled)
-        posteriors = _agent_posterior(
-            run, _features_for(run.domain, labeled_ids), aware, n_categories
-        )
-        categories = [run.pool.assignments[ex_id][0] for ex_id in labeled_ids]
+        pool = run.pool
+        labeled = np.flatnonzero(pool.split == LABELED)
+        posteriors = _agent_posterior(run, features[labeled], aware, n_categories)
         pruned = select_prunes(
-            labeled_ids, categories, posteriors, cfg.prunes_per_category, run.pool.seed_ids
+            pool.ids[labeled],
+            pool.category[labeled],
+            posteriors,
+            cfg.prunes_per_category,
+            pool.ids[pool.seed],
         )
-        run.pool = prune_from_labeled(run.pool, pruned)
+        run.pool = prune_from_labeled(pool, pruned)
         prunes = len(pruned)
     return transfers, prunes
 
 
-def _test_arrays(run):
-    ids = sorted(run.pool.test)
-    features = _features_for(run.domain, ids)
-    truths = np.fromiter(
-        (run.domain.examples[i].true_category for i in ids), dtype=int, count=len(ids)
-    )
-    return ids, features, truths
-
-
 def _agent_test_metrics(run, aware: bool, n_categories: int):
-    _, features, truths = _test_arrays(run)
+    domain = run.domain
+    test = run.pool.split == TEST
+    features = domain.features[test]
     posteriors = _agent_posterior(run, features, aware, n_categories)
     accuracy = compute_class_average_accuracy(
-        np.argmax(posteriors, axis=1), truths, n_categories
+        np.argmax(posteriors, axis=1), domain.true_category[test], n_categories
     )
     attribute_accuracy = None
     if aware:
-        truth_bits = np.stack(
-            [run.domain.examples[i].true_attributes for i in sorted(run.pool.test)]
-        )
         attribute_accuracy = tuple(
             float(v)
-            for v in attribute_accuracy_arrays(run.attribute_bank, features, truth_bits)
+            for v in attribute_accuracy_arrays(
+                run.attribute_bank, features, domain.true_bits[test]
+            )
         )
     return accuracy, attribute_accuracy
 
 
 def _ensemble_test_accuracy(runs, world) -> float:
     n_categories = world.config.n_categories
-    pairs = world.paired_test_ids
+    pairs = np.array(world.paired_test_ids, dtype=np.int64).reshape(-1, 2)
     mean_posterior = None
     for agent, run in enumerate(runs):
-        ids = [pair[agent] for pair in pairs]
-        posterior = run.category_bank.posterior_batch(_features_for(run.domain, ids))
+        posterior = run.category_bank.posterior_batch(_features_for(run.domain, pairs[:, agent]))
         mean_posterior = posterior if mean_posterior is None else mean_posterior + posterior
     mean_posterior /= len(runs)
-    truths = np.fromiter(
-        (runs[0].domain.examples[pair[0]].true_category for pair in pairs),
-        dtype=int,
-        count=len(pairs),
-    )
+    first = runs[0].domain
+    truths = first.true_category[np.searchsorted(first.ids, pairs[:, 0])]
     return compute_class_average_accuracy(
         np.argmax(mean_posterior, axis=1), truths, n_categories
     )
@@ -271,23 +259,16 @@ def _run_upper_bound(world, iterations: int, cfg: LoopConfig) -> list[IterationR
     n_attr = world.config.n_attributes
     metrics = []
     for domain in world.domains:
-        ids = sorted(
-            i
-            for i in (domain.pool.labeled | domain.pool.unlabeled)
-            if domain.examples[i].true_category != DISTRACTOR
-        )
-        features = _features_for(domain, ids)
-        categories = np.fromiter(
-            (domain.examples[i].true_category for i in ids), dtype=int, count=len(ids)
-        )
-        attributes = np.stack([domain.examples[i].true_attributes for i in ids])
+        rows = (domain.pool.split != TEST) & (domain.true_category != DISTRACTOR)
+        categories = domain.true_category[rows]
+        attributes = domain.true_bits[rows]
         run = _AgentRun(domain)
         run.category_bank, run.attribute_bank = train_banks(
-            features, categories, attributes, n_cat, cfg.train
+            domain.features[rows], categories, attributes, n_cat, cfg.train
         )
         run.matrix = estimate_matrix_from_labels(categories, attributes, n_cat, n_attr)
         accuracy, attribute_accuracy = _agent_test_metrics(run, True, n_cat)
-        purity = compute_purity(domain.pool, domain.examples)
+        purity = compute_purity(domain.pool, domain.true_category)
         metrics.append(
             AgentMetrics(
                 accuracy=accuracy,
@@ -351,7 +332,7 @@ def run_experiment(
             agent_metrics.append(
                 AgentMetrics(
                     accuracy=accuracy,
-                    purity=compute_purity(run.pool, run.domain.examples),
+                    purity=compute_purity(run.pool, run.domain.true_category),
                     attribute_accuracy=attribute_accuracy,
                     transfers=transfers,
                     prunes=prunes,

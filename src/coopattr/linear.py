@@ -9,12 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .errors import ConfigurationError, StateError, TrainingError
-from .pool import CategoryPosterior, Example
 
 #: Probabilities are clamped into [PROB_CLAMP, 1 - PROB_CLAMP] so no factor in
 #: downstream products can reach exactly 0 or 1.
@@ -53,13 +50,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     e += 1.0
     numerator /= e
     return numerator
-
-
-def _sigmoid_scalar(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    ez = math.exp(z)
-    return ez / (1.0 + ez)
 
 
 def _clamp(p):
@@ -121,33 +111,6 @@ class LinearClassifier:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "bias", float(self.bias))
 
-    def predict_prob(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != self.weights.shape:
-            raise ConfigurationError(
-                f"feature vector has length {x.shape}, classifier expects {self.weights.shape}"
-            )
-        score = float(self.weights @ x) + self.bias
-        return float(_clamp(_sigmoid_scalar(score)))
-
-
-def train_binary(
-    positives: Sequence, negatives: Sequence, config: TrainConfig | None = None
-) -> LinearClassifier:
-    """Fit one binary classifier from explicit positive and negative feature vectors."""
-    if len(positives) == 0 or len(negatives) == 0:
-        raise TrainingError("training requires at least one positive and one negative example")
-    config = config or TrainConfig()
-    pos = _feature_matrix(positives, "positive features")
-    neg = _feature_matrix(negatives, "negative features")
-    if pos.shape[1] != neg.shape[1]:
-        raise ConfigurationError("positive and negative feature dimensions differ")
-    features = np.vstack([pos, neg])
-    targets = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])[:, None]
-    weights, bias = _fit(features, targets, config)
-    return LinearClassifier(weights[:, 0], float(bias[0]), trained_on_count=len(features))
-
-
 def _constant_classifier(dim: int, rate: float, count: int) -> LinearClassifier:
     p = float(_clamp(rate))
     return LinearClassifier(np.zeros(dim), math.log(p / (1.0 - p)), trained_on_count=count)
@@ -175,10 +138,6 @@ class CategoryModelBank:
         raw = _clamp(_sigmoid(features @ weights + bias))
         return raw / raw.sum(axis=1, keepdims=True)
 
-    def posterior(self, x) -> CategoryPosterior:
-        return CategoryPosterior(self.posterior_batch(np.asarray(x, float)[None, :])[0])
-
-
 @dataclass(frozen=True)
 class AttributeModelBank:
     """One independent presence classifier per attribute; no cross-attribute normalization."""
@@ -193,10 +152,6 @@ class AttributeModelBank:
         if features.ndim != 2 or features.shape[1] != weights.shape[0]:
             raise ConfigurationError("feature matrix does not match classifier dimension")
         return _clamp(_sigmoid(features @ weights + bias))
-
-    def probs(self, x) -> np.ndarray:
-        return self.probs_batch(np.asarray(x, float)[None, :])[0]
-
 
 def _category_targets(features, categories, n_categories: int):
     """Checked features and one-hot one-vs-rest targets, one column per category."""
@@ -307,16 +262,6 @@ def train_banks(
     )
 
 
-def category_posterior(bank: CategoryModelBank, x) -> CategoryPosterior:
-    """Normalized category distribution from the bank's per-class sigmoid scores."""
-    return bank.posterior(x)
-
-
-def attribute_probs(bank: AttributeModelBank, x) -> np.ndarray:
-    """Independent presence probabilities for all M attributes."""
-    return bank.probs(x)
-
-
 def attribute_accuracy_arrays(
     bank: AttributeModelBank, features: np.ndarray, attributes: np.ndarray
 ) -> np.ndarray:
@@ -325,15 +270,6 @@ def attribute_accuracy_arrays(
     truth = np.asarray(attributes).astype(bool)
     if truth.shape != probs.shape:
         raise ConfigurationError("attribute truth shape does not match predictions")
-    return ((probs > 0.5) == truth).mean(axis=0)
-
-
-def attribute_bank_accuracy(bank: AttributeModelBank, examples: Sequence[Example]) -> np.ndarray:
-    """Per-attribute accuracy of the bank on examples with known true attributes."""
-    if len(examples) == 0:
+    if truth.shape[0] == 0:
         raise ConfigurationError("cannot measure accuracy on an empty example set")
-    if any(ex.true_attributes is None for ex in examples):
-        raise ConfigurationError("every example needs true_attributes")
-    features = np.stack([ex.features for ex in examples])
-    truth = np.stack([ex.true_attributes for ex in examples])
-    return attribute_accuracy_arrays(bank, features, truth)
+    return ((probs > 0.5) == truth).mean(axis=0)

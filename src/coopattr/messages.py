@@ -19,7 +19,6 @@ A 10x10 matrix without Q is exactly 816 bytes.
 """
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -174,27 +173,3 @@ def write_message_file(msg: MatrixMessage, path) -> None:
 
 def read_message_file(path) -> MatrixMessage:
     return decode_message(Path(path).read_bytes())
-
-
-def message_to_json(msg: MatrixMessage) -> str:
-    """Human-readable rendering for debugging; never used for payload-size claims."""
-    return json.dumps(
-        {
-            "agent_id": msg.agent_id,
-            "iteration": msg.iteration,
-            "m": msg.matrix.n_attributes,
-            "n": msg.matrix.n_categories,
-            "values": msg.matrix.values.tolist(),
-            "q": None if msg.accuracy_vector is None else msg.accuracy_vector.tolist(),
-        }
-    )
-
-
-def message_from_json(text: str) -> MatrixMessage:
-    obj = json.loads(text)
-    return MatrixMessage(
-        agent_id=obj["agent_id"],
-        iteration=obj["iteration"],
-        matrix=AttributeCategoryMatrix(np.array(obj["values"], dtype=float)),
-        accuracy_vector=None if obj.get("q") is None else np.array(obj["q"], dtype=float),
-    )

@@ -2,10 +2,13 @@
 
 All types here are immutable values; operations return new states instead of
 mutating, so they can be shared freely between concurrently running agents.
+A pool is a set of per-row arrays over one domain's ascending example ids.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -17,46 +20,21 @@ from .errors import ConfigurationError, StateError
 #: incorrect when pool purity is measured.
 DISTRACTOR = -1
 
+#: Split codes, one per pool row.
+LABELED, UNLABELED, TEST = 0, 1, 2
+
+#: ``PoolState.category`` of a row that carries no assigned label.
+UNASSIGNED = -1
+
 #: (category, attribute bits) recorded when an example enters the labeled pool.
 Assignment = tuple[int, tuple[int, ...]]
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
+def _frozen_array(values, dtype) -> np.ndarray:
+    """A read-only view of ``values`` as ``dtype``; copies only to convert."""
+    out = np.asarray(values, dtype=dtype).view()
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class Example:
-    """One data point: a feature vector plus optional true and assigned labels."""
-
-    id: int
-    features: np.ndarray
-    true_category: int | None = None
-    true_attributes: np.ndarray | None = None
-    assigned_category: int | None = None
-    assigned_attributes: np.ndarray | None = None
-
-    def __post_init__(self):
-        feats = _frozen_array(self.features)
-        if feats.ndim != 1 or feats.size == 0:
-            raise ConfigurationError("features must be a non-empty 1-D vector")
-        object.__setattr__(self, "features", feats)
-        if self.true_attributes is not None:
-            object.__setattr__(
-                self, "true_attributes", _frozen_array(self.true_attributes, np.int8)
-            )
-        if (self.assigned_category is None) != (self.assigned_attributes is None):
-            raise ConfigurationError(
-                "assigned_category and assigned_attributes must be set together"
-            )
-        if self.assigned_attributes is not None:
-            object.__setattr__(
-                self,
-                "assigned_attributes",
-                _frozen_array(self.assigned_attributes, np.int8),
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,34 +103,118 @@ class AttributeCategoryMatrix:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoolState:
-    """Id sets for the three splits plus the assignment record for labeled examples.
+    """Per-row pool arrays over one domain's example ids.
 
-    ``seed_ids`` are the initially labeled examples; they are protected from
-    pruning so human-verified ground truth is never lost. ``assignments`` maps
-    every labeled example to the (category, attribute bits) it was annotated
-    with; seeds get their ground truth at setup, other examples get predicted
-    labels at transfer time.
+    Row ``r`` describes example ``ids[r]``; the ids ascend, so the rows a
+    mask selects come out in id order. ``split`` holds each row's split code
+    (LABELED, UNLABELED or TEST). ``category`` and ``bits`` hold the
+    (category, attribute bits) a labeled row was annotated with: seeds get
+    their ground truth at setup, other examples get predicted labels at
+    transfer time. Unannotated rows hold UNASSIGNED and zero bits. ``seed``
+    marks the initially labeled rows; they are protected from pruning so
+    human-verified ground truth is never lost.
+
+    The arrays are read-only; operations return new states. ``labeled``,
+    ``unlabeled``, ``test``, ``seed_ids`` and ``assignments`` are read-only
+    views for callers that want id sets, derived on first access and then
+    kept; the library itself reads the arrays.
     """
 
-    labeled: frozenset[int]
-    unlabeled: frozenset[int]
-    test: frozenset[int]
-    seed_ids: frozenset[int] = frozenset()
-    assignments: Mapping[int, Assignment] = field(default_factory=dict)
+    ids: np.ndarray
+    split: np.ndarray
+    category: np.ndarray
+    bits: np.ndarray
+    seed: np.ndarray
 
     def __post_init__(self):
-        if self.labeled & self.unlabeled or self.labeled & self.test or self.unlabeled & self.test:
-            raise ConfigurationError("labeled, unlabeled, and test sets must be disjoint")
-        if not self.seed_ids <= self.labeled:
+        for name, dtype in (("ids", np.int64), ("split", np.int8), ("category", np.int64),
+                            ("bits", np.int8), ("seed", bool)):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), dtype))
+        ids, split, category = self.ids, self.split, self.category
+        if ids.ndim != 1 or (np.diff(ids) <= 0).any():
+            raise ConfigurationError("pool ids must be a 1-D ascending array of distinct ids")
+        n = ids.size
+        if (split.shape != (n,) or category.shape != (n,) or self.seed.shape != (n,)
+                or self.bits.ndim != 2 or self.bits.shape[0] != n):
+            raise ConfigurationError("every pool array needs one row per id")
+        if n and not LABELED <= split.min() <= split.max() <= TEST:
+            raise ConfigurationError("split codes must be LABELED, UNLABELED or TEST")
+        labeled = split == LABELED
+        if (self.seed & ~labeled).any():
             raise ConfigurationError("seed ids must stay in the labeled set")
-        if not set(self.assignments) <= self.labeled:
+        if ((category != UNASSIGNED) & ~labeled).any():
             raise ConfigurationError("assignments may only cover labeled examples")
 
     @property
     def size(self) -> int:
-        return len(self.labeled) + len(self.unlabeled) + len(self.test)
+        return self.ids.size
+
+    @cached_property
+    def labeled(self) -> frozenset[int]:
+        return frozenset(self.ids[self.split == LABELED].tolist())
+
+    @cached_property
+    def unlabeled(self) -> frozenset[int]:
+        return frozenset(self.ids[self.split == UNLABELED].tolist())
+
+    @cached_property
+    def test(self) -> frozenset[int]:
+        return frozenset(self.ids[self.split == TEST].tolist())
+
+    @cached_property
+    def seed_ids(self) -> frozenset[int]:
+        return frozenset(self.ids[self.seed].tolist())
+
+    @cached_property
+    def assignments(self) -> Mapping[int, Assignment]:
+        """Every annotated row's id mapped to its (category, attribute bits)."""
+        rows = np.flatnonzero(self.category != UNASSIGNED)
+        return MappingProxyType({
+            ex_id: (category, tuple(bits))
+            for ex_id, category, bits in zip(
+                self.ids[rows].tolist(), self.category[rows].tolist(), self.bits[rows].tolist()
+            )
+        })
+
+
+def _id_array(ids: Iterable[int]) -> np.ndarray:
+    # A set, not np.unique: np.unique imports numpy.ma on first use.
+    return np.array(sorted(set(map(int, ids))), dtype=np.int64)
+
+
+def _rows(ids: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row of each wanted id in the ascending ``ids``, and whether it is there."""
+    if ids.size == 0:
+        return np.zeros(wanted.size, dtype=np.intp), np.zeros(wanted.size, dtype=bool)
+    rows = np.minimum(np.searchsorted(ids, wanted), ids.size - 1)
+    return rows, ids[rows] == wanted
+
+
+def _checked_labels(
+    labels: Sequence[tuple[int, Sequence[int]]], width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Checked categories and ``(len(labels), width)`` int8 attribute bits.
+
+    An empty bits row records no attribute labels (a learner without an
+    attribute view) and stays 0. A width of 0 means no row has bits yet; it
+    widens to the longest row given.
+    """
+    categories = np.array([category for category, _ in labels], dtype=np.int64)
+    if (categories < 0).any():
+        raise ConfigurationError("assigned categories must be non-negative")
+    width = width or max((len(bits) for _, bits in labels), default=0)
+    out = np.zeros((len(labels), width), dtype=np.int64)
+    for k, (_, bits) in enumerate(labels):
+        if len(bits) == 0:
+            continue
+        if len(bits) != width:
+            raise ConfigurationError(f"attribute labels need {width} bits, got {len(bits)}")
+        out[k] = bits
+    if ((out != 0) & (out != 1)).any():
+        raise ConfigurationError("attribute labels must be binary")
+    return categories, out.astype(np.int8)
 
 
 def new_pool_state(
@@ -162,20 +224,23 @@ def new_pool_state(
     assignments: Mapping[int, tuple[int, Sequence[int]]] | None = None,
 ) -> PoolState:
     """Build the initial pool; the initially labeled ids become protected seeds."""
-    labeled = frozenset(int(i) for i in labeled_ids)
-    unlabeled = frozenset(int(i) for i in unlabeled_ids)
-    test = frozenset(int(i) for i in test_ids)
-    fixed: dict[int, Assignment] = {}
-    if assignments:
-        for ex_id, (category, attributes) in assignments.items():
-            fixed[int(ex_id)] = (int(category), tuple(int(b) for b in attributes))
-    return PoolState(
-        labeled=labeled,
-        unlabeled=unlabeled,
-        test=test,
-        seed_ids=labeled,
-        assignments=fixed,
-    )
+    splits = [_id_array(ids) for ids in (labeled_ids, unlabeled_ids, test_ids)]
+    ids = np.concatenate(splits)
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    if (np.diff(ids) == 0).any():
+        raise ConfigurationError("labeled, unlabeled, and test sets must be disjoint")
+    codes = np.array([LABELED, UNLABELED, TEST], dtype=np.int8)
+    split = np.repeat(codes, [s.size for s in splits])[order]
+    fixed = {int(k): (int(c), bits) for k, (c, bits) in (assignments or {}).items()}
+    rows, found = _rows(ids, np.fromiter(fixed, dtype=np.int64, count=len(fixed)))
+    if not found.all():
+        raise ConfigurationError("assignments may only cover labeled examples")
+    categories, labels = _checked_labels(list(fixed.values()), 0)
+    category = np.full(ids.size, UNASSIGNED, dtype=np.int64)
+    bits = np.zeros((ids.size, labels.shape[1]), dtype=np.int8)
+    category[rows], bits[rows] = categories, labels
+    return PoolState(ids, split, category, bits, split == LABELED)
 
 
 def move_to_labeled(
@@ -186,26 +251,27 @@ def move_to_labeled(
     ``moves`` holds (example_id, category, attribute bits) triples; the whole
     batch becomes one new state. An empty batch returns ``pool`` itself.
     """
-    added: dict[int, Assignment] = {}
-    for example_id, category, attributes in moves:
-        example_id = int(example_id)
-        if example_id not in pool.unlabeled:
-            raise StateError(f"example {example_id} is not in the unlabeled set")
-        if example_id in added:
-            raise StateError(f"example {example_id} is moved twice in one batch")
-        bits = tuple(int(b) for b in attributes)
-        if any(b not in (0, 1) for b in bits):
-            raise ConfigurationError("attribute labels must be binary")
-        added[example_id] = (int(category), bits)
-    if not added:
+    moves = [(int(ex_id), int(category), bits) for ex_id, category, bits in moves]
+    if not moves:
         return pool
-    return PoolState(
-        labeled=pool.labeled.union(added),
-        unlabeled=pool.unlabeled.difference(added),
-        test=pool.test,
-        seed_ids=pool.seed_ids,
-        assignments={**pool.assignments, **added},
+    ids = np.array([ex_id for ex_id, _, _ in moves], dtype=np.int64)
+    rows, found = _rows(pool.ids, ids)
+    open_rows = found & (pool.split[rows] == UNLABELED)
+    if not open_rows.all():
+        raise StateError(f"example {ids[~open_rows][0]} is not in the unlabeled set")
+    unique, counts = np.unique(ids, return_counts=True)
+    if (counts > 1).any():
+        raise StateError(f"example {unique[counts > 1][0]} is moved twice in one batch")
+    categories, labels = _checked_labels(
+        [(category, bits) for _, category, bits in moves], pool.bits.shape[1]
     )
+    if labels.shape[1] == pool.bits.shape[1]:
+        bits = pool.bits.copy()
+    else:
+        bits = np.zeros((pool.size, labels.shape[1]), dtype=np.int8)
+    split, category = pool.split.copy(), pool.category.copy()
+    split[rows], category[rows], bits[rows] = LABELED, categories, labels
+    return PoolState(pool.ids, split, category, bits, pool.seed)
 
 
 def prune_from_labeled(pool: PoolState, example_ids: Iterable[int]) -> PoolState:
@@ -213,20 +279,16 @@ def prune_from_labeled(pool: PoolState, example_ids: Iterable[int]) -> PoolState
 
     Seed examples cannot be pruned.
     """
-    ids = frozenset(int(i) for i in example_ids)
-    if not ids:
+    ids = _id_array(example_ids)
+    if not ids.size:
         return pool
-    if not ids <= pool.labeled:
-        missing = sorted(ids - pool.labeled)
-        raise StateError(f"cannot prune ids not in the labeled set: {missing}")
-    protected = ids & pool.seed_ids
-    if protected:
-        raise StateError(f"cannot prune seed examples: {sorted(protected)}")
-    assignments = {k: v for k, v in pool.assignments.items() if k not in ids}
-    return PoolState(
-        labeled=pool.labeled - ids,
-        unlabeled=pool.unlabeled | ids,
-        test=pool.test,
-        seed_ids=pool.seed_ids,
-        assignments=assignments,
-    )
+    rows, found = _rows(pool.ids, ids)
+    labeled = found & (pool.split[rows] == LABELED)
+    if not labeled.all():
+        raise StateError(f"cannot prune ids not in the labeled set: {ids[~labeled].tolist()}")
+    protected = pool.seed[rows]
+    if protected.any():
+        raise StateError(f"cannot prune seed examples: {ids[protected].tolist()}")
+    split, category, bits = pool.split.copy(), pool.category.copy(), pool.bits.copy()
+    split[rows], category[rows], bits[rows] = UNLABELED, UNASSIGNED, 0
+    return PoolState(pool.ids, split, category, bits, pool.seed)

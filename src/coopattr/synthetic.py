@@ -9,15 +9,14 @@ random linear embedding of the attribute vector plus Gaussian sensor noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .pool import DISTRACTOR, Example, PoolState, new_pool_state
+from .pool import DISTRACTOR, LABELED, TEST, UNASSIGNED, UNLABELED, PoolState, _frozen_array
 
 #: Noisy attribute predictions are clamped into (0, 1).
 PREDICTION_CLAMP = 1e-6
@@ -83,40 +82,47 @@ class SyntheticWorldConfig:
             raise ConfigurationError("feature noise must be non-negative")
 
 
-@dataclass(frozen=True)
+#: One row of the lazily built ``AgentDomain.examples`` view.
+ExampleRecord = namedtuple("ExampleRecord", "id true_category")
+
+
+@dataclass(frozen=True, eq=False)
 class AgentDomain:
-    """One agent's slice of the world: its examples and initial pool."""
+    """One agent's slice of the world: its examples as arrays, and its initial pool.
+
+    Row ``r`` is example ``ids[r]``, ids ascending: ``features[r]`` is what
+    the agent's sensor observes, ``true_category[r]`` and ``true_bits[r]`` the
+    ground truth. The pool's rows are the same rows. The arrays are read-only.
+    """
 
     agent_id: int
-    feature_dim: int
-    examples: dict[int, Example]
+    ids: np.ndarray
+    features: np.ndarray
+    true_category: np.ndarray
+    true_bits: np.ndarray
     pool: PoolState
 
     def __post_init__(self):
-        for ex in self.examples.values():
-            if ex.features.size != self.feature_dim:
-                raise ConfigurationError(
-                    f"example {ex.id} has {ex.features.size} features, expected {self.feature_dim}"
-                )
-        pool = self.pool
-        if not pool.labeled.union(pool.unlabeled, pool.test).issubset(self.examples):
-            raise ConfigurationError("every pool id needs an example")
-
-    # Built on first use, not with the domain, so world generation stays as
-    # cheap as before; scoring then indexes rows instead of re-stacking them.
-    @cached_property
-    def ids(self) -> np.ndarray:
-        """Every example id, ascending."""
-        ids = np.array(sorted(self.examples), dtype=np.int64)
-        ids.setflags(write=False)
-        return ids
+        for name, dtype in (("ids", np.int64), ("features", float),
+                            ("true_category", np.int64), ("true_bits", np.int8)):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), dtype))
+        n = self.ids.size
+        if self.features.ndim != 2 or self.features.shape[0] != n or self.features.shape[1] < 1:
+            raise ConfigurationError("features must be an (n_examples, feature_dim) matrix")
+        bits = self.true_bits
+        if self.true_category.shape != (n,) or bits.ndim != 2 or bits.shape[0] != n:
+            raise ConfigurationError("true_category and true_bits need one row per id")
+        if not np.array_equal(self.pool.ids, self.ids):
+            raise ConfigurationError("the pool must cover exactly the domain's ids")
 
     @cached_property
-    def feature_matrix(self) -> np.ndarray:
-        """The ``(n, feature_dim)`` feature rows, in the order of ``ids``."""
-        matrix = np.stack([self.examples[i].features for i in self.ids.tolist()])
-        matrix.setflags(write=False)
-        return matrix
+    def examples(self) -> dict[int, ExampleRecord]:
+        """Id -> ``(id, true_category)`` record, built on first use.
+
+        A view for callers outside the library; the library reads the arrays.
+        """
+        ids = self.ids.tolist()
+        return dict(zip(ids, map(ExampleRecord, ids, self.true_category.tolist())))
 
 
 @dataclass(frozen=True)
@@ -127,14 +133,6 @@ class SyntheticWorld:
     #: aligned (agent-0 id, agent-1 id). Only the cross-agent ensemble baseline
     #: relies on this pairing.
     paired_test_ids: tuple[tuple[int, int], ...]
-
-
-def random_ground_truth_matrix(
-    n_attributes: int, n_categories: int, rng: np.random.Generator,
-    low: float = 0.05, high: float = 0.95,
-) -> np.ndarray:
-    """Independent uniform presence rates; the default world table."""
-    return rng.uniform(low, high, size=(n_attributes, n_categories))
 
 
 def contrast_ground_truth_matrix(
@@ -214,106 +212,43 @@ def generate_world(config: SyntheticWorldConfig) -> SyntheticWorld:
         )
 
     domains = []
-    test_orders: list[list[int]] = []
+    test_ids = []
     next_id = 0
+    categories = np.arange(n_cat)
     for agent in (0, 1):
-        categories: list[int] = []
-        bits_blocks: list[np.ndarray] = []
-        splits: list[str] = []
-        for category in range(n_cat):
-            bits_blocks.append(labeled_bits[agent][category])
-            categories.extend([category] * sizes.labeled)
-            splits.extend(["labeled"] * sizes.labeled)
-        for category in range(n_cat):
-            bits_blocks.append(unlabeled_bits[agent][category])
-            categories.extend([category] * sizes.unlabeled)
-            splits.extend(["unlabeled"] * sizes.unlabeled)
-        bits_blocks.append(distractor_bits[agent])
-        categories.extend([DISTRACTOR] * distractor_counts[agent])
-        splits.extend(["unlabeled"] * distractor_counts[agent])
-        for category in range(n_cat):
-            bits_blocks.append(test_bits[category])
-            categories.extend([category] * sizes.test)
-            splits.extend(["test"] * sizes.test)
-
-        bits = np.concatenate(bits_blocks, axis=0)
+        bits = np.concatenate(
+            labeled_bits[agent] + unlabeled_bits[agent] + [distractor_bits[agent]] + test_bits
+        )
+        true_category = np.concatenate([
+            np.repeat(categories, sizes.labeled),
+            np.repeat(categories, sizes.unlabeled),
+            np.full(distractor_counts[agent], DISTRACTOR),
+            np.repeat(categories, sizes.test),
+        ])
         noise_rng = np.random.default_rng([seed, _STREAM_FEATURE_NOISE, agent])
         noise = noise_rng.standard_normal((bits.shape[0], cfg.feature_dims[agent]))
         features = (bits - 0.5) @ embeddings[agent].T + cfg.feature_noise_stds[agent] * noise
 
-        examples: dict[int, Example] = {}
-        labeled_ids, unlabeled_ids, test_ids = [], [], []
-        assignments = {}
-        test_order = []
-        for row, (category, split) in enumerate(zip(categories, splits)):
-            ex_id = next_id + row
-            assigned_cat = category if split == "labeled" else None
-            assigned_bits = bits[row] if split == "labeled" else None
-            examples[ex_id] = Example(
-                id=ex_id,
-                features=features[row],
-                true_category=category,
-                true_attributes=bits[row],
-                assigned_category=assigned_cat,
-                assigned_attributes=assigned_bits,
-            )
-            if split == "labeled":
-                labeled_ids.append(ex_id)
-                assignments[ex_id] = (category, tuple(int(b) for b in bits[row]))
-            elif split == "unlabeled":
-                unlabeled_ids.append(ex_id)
-            else:
-                test_ids.append(ex_id)
-                test_order.append(ex_id)
-        next_id += len(categories)
-        pool = new_pool_state(labeled_ids, unlabeled_ids, test_ids, assignments)
-        domains.append(
-            AgentDomain(agent_id=agent, feature_dim=cfg.feature_dims[agent],
-                        examples=examples, pool=pool)
+        n_labeled, n_test = n_cat * sizes.labeled, n_cat * sizes.test
+        ids = np.arange(next_id, next_id + bits.shape[0])
+        split = np.repeat(
+            np.array([LABELED, UNLABELED, TEST], dtype=np.int8),
+            (n_labeled, bits.shape[0] - n_labeled - n_test, n_test),
         )
-        test_orders.append(test_order)
+        seed_rows = split == LABELED
+        pool = PoolState(
+            ids=ids,
+            split=split,
+            category=np.where(seed_rows, true_category, UNASSIGNED),
+            bits=bits * seed_rows[:, None],
+            seed=seed_rows,
+        )
+        domains.append(AgentDomain(agent, ids, features, true_category, bits, pool))
+        test_ids.append(ids[-n_test:].tolist())
+        next_id += bits.shape[0]
 
-    paired = tuple(zip(test_orders[0], test_orders[1]))
+    paired = tuple(zip(test_ids[0], test_ids[1]))
     return SyntheticWorld(config=cfg, domains=(domains[0], domains[1]), paired_test_ids=paired)
-
-
-def write_world_text(world: SyntheticWorld, path) -> None:
-    """One example per line: agent, id, split, category, attribute bits, features."""
-    lines = ["# agent id split category attributes features..."]
-    for domain in world.domains:
-        split_of = {}
-        for ex_id in domain.pool.labeled:
-            split_of[ex_id] = "labeled"
-        for ex_id in domain.pool.unlabeled:
-            split_of[ex_id] = "unlabeled"
-        for ex_id in domain.pool.test:
-            split_of[ex_id] = "test"
-        for ex_id in sorted(domain.examples):
-            ex = domain.examples[ex_id]
-            bits = "".join(str(int(b)) for b in ex.true_attributes)
-            feats = " ".join(repr(float(v)) for v in ex.features)
-            lines.append(f"{domain.agent_id} {ex.id} {split_of[ex_id]} {ex.true_category} {bits} {feats}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_world_text(path) -> list[tuple[int, int, str, int, np.ndarray, np.ndarray]]:
-    """Parse rows written by :func:`write_world_text`."""
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        if not line or line.startswith("#"):
-            continue
-        agent, ex_id, split, category, bits, *feats = line.split()
-        rows.append(
-            (
-                int(agent),
-                int(ex_id),
-                split,
-                int(category),
-                np.array([int(b) for b in bits], dtype=np.int8),
-                np.array([float(v) for v in feats]),
-            )
-        )
-    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -445,20 +380,6 @@ def generate_noise_dataset(config: NoiseStudyConfig) -> NoiseStudyDataset:
         test_attributes=test_attrs,
         test_predictions=generate_noise_study(config, test_attrs, stream=1),
     )
-
-
-def noise_sweep(levels: Sequence[float], config: NoiseStudyConfig) -> list[NoiseStudyDataset]:
-    """One dataset per ascending good-attribute noise level, with shared draws.
-
-    The bad-attribute noise stays fixed; only the good level moves, so paired
-    comparisons across levels differ through sigma alone.
-    """
-    levels = [float(s) for s in levels]
-    if any(b < a for a, b in zip(levels, levels[1:])):
-        raise ConfigurationError("noise levels must be ascending")
-    return [
-        generate_noise_dataset(replace(config, good_noise_std=level)) for level in levels
-    ]
 
 
 def check_accuracy_target(target_accuracy: float, name: str = "target accuracy") -> None:

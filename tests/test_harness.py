@@ -12,7 +12,6 @@ import coopattr.harness as harness
 from coopattr import (
     DISTRACTOR,
     ConfigurationError,
-    Example,
     LearnerVariant,
     LoopConfig,
     StateError,
@@ -23,10 +22,10 @@ from coopattr import (
     compute_purity,
     generate_world,
     new_pool_state,
-    random_ground_truth_matrix,
     records_to_csv,
     run_experiment,
 )
+from coopattr.config import ExperimentConfig, loop_config, world_config
 from coopattr.synthetic import AgentDomain, SyntheticWorld
 
 
@@ -35,7 +34,7 @@ def _small_config(**overrides):
     defaults = dict(
         n_categories=3,
         n_attributes=4,
-        ground_truth_matrix=random_ground_truth_matrix(4, 3, rng),
+        ground_truth_matrix=rng.uniform(0.05, 0.95, (4, 3)),
         examples_per_category=SplitSizes(labeled=4, unlabeled=6, test=4),
         n_distractors=8,
         feature_dims=(6, 5),
@@ -57,14 +56,11 @@ def small_world():
 
 def test_compute_purity_seeds_only(small_world):
     domain = small_world.domains[0]
-    assert compute_purity(domain.pool, domain.examples) == 1.0
+    assert compute_purity(domain.pool, domain.true_category) == 1.0
 
 
 def test_compute_purity_counts_and_distractor_rule():
-    examples = {
-        i: Example(id=i, features=[0.0], true_category=c)
-        for i, c in [(0, 0), (1, 1), (2, DISTRACTOR)]
-    }
+    true_category = np.array([0, 1, DISTRACTOR])
     pool = new_pool_state([], [0, 1, 2], [], {})
     from coopattr import move_to_labeled
 
@@ -76,13 +72,13 @@ def test_compute_purity_counts_and_distractor_rule():
             (2, 1, []),  # distractor, always wrong
         ],
     )
-    assert compute_purity(pool, examples) == pytest.approx(1 / 3)
+    assert compute_purity(pool, true_category) == pytest.approx(1 / 3)
 
 
 def test_compute_purity_rejects_empty_pool():
     pool = new_pool_state([], [1], [])
     with pytest.raises(StateError):
-        compute_purity(pool, {})
+        compute_purity(pool, np.array([0]))
 
 
 def test_class_average_accuracy_reference_cases():
@@ -225,7 +221,7 @@ def _cloned_world(n_categories=3, n_attributes=4, seed=5):
     """Two domains with identical labeled/unlabeled/test attribute draws but
     different feature embeddings, so both agents share labeled statistics."""
     rng = np.random.default_rng(seed)
-    truth = random_ground_truth_matrix(n_attributes, n_categories, rng)
+    truth = rng.uniform(0.05, 0.95, (n_attributes, n_categories))
     sizes = SplitSizes(labeled=4, unlabeled=6, test=4)
     config = SyntheticWorldConfig(
         n_categories=n_categories,
@@ -249,36 +245,30 @@ def _cloned_world(n_categories=3, n_attributes=4, seed=5):
     embeddings = [rng.standard_normal((6, n_attributes)) for _ in range(2)]
     domains, test_orders = [], []
     next_id = 0
+    splits = np.array(splits)
     for agent in (0, 1):
         features = (bits - 0.5) @ embeddings[agent].T
-        examples, assignments = {}, {}
-        by_split = {"labeled": [], "unlabeled": [], "test": []}
-        for row in range(len(categories)):
-            ex_id = next_id + row
-            examples[ex_id] = Example(
-                id=ex_id,
-                features=features[row],
-                true_category=categories[row],
-                true_attributes=bits[row],
-            )
-            by_split[splits[row]].append(ex_id)
-            if splits[row] == "labeled":
-                assignments[ex_id] = (categories[row], tuple(int(b) for b in bits[row]))
-        next_id += len(categories)
+        ids = np.arange(next_id, next_id + len(categories))
+        by_split = {split: ids[splits == split] for split in counts}
+        assignments = {
+            int(i): (categories[i - next_id], bits[i - next_id]) for i in by_split["labeled"]
+        }
         pool = new_pool_state(
             by_split["labeled"], by_split["unlabeled"], by_split["test"], assignments
         )
-        domains.append(AgentDomain(agent, 6, examples, pool))
-        test_orders.append(by_split["test"])
+        domains.append(AgentDomain(agent, ids, features, categories, bits, pool))
+        test_orders.append(by_split["test"].tolist())
+        next_id += len(categories)
     return SyntheticWorld(config, (domains[0], domains[1]), tuple(zip(*test_orders)))
 
 
 def test_features_for_matches_stacked_examples():
     world = _cloned_world()
     domain = world.domains[1]
-    ids = np.array(sorted(domain.examples))
+    ids = domain.ids.copy()
     np.random.default_rng(3).shuffle(ids)
-    expected = np.stack([domain.examples[i].features for i in ids])
+    row_of = {ex_id: row for row, ex_id in enumerate(domain.ids.tolist())}
+    expected = np.stack([domain.features[row_of[i]] for i in ids.tolist()])
     got = harness._features_for(domain, ids)
     assert got.flags.c_contiguous
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
@@ -376,3 +366,85 @@ GOLDEN_RECORDS = {
 def test_records_match_golden_digest(variant, small_world):
     text = records_to_csv(run_experiment(variant, small_world, 6, _FAST))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_RECORDS[variant]
+
+
+# SHA-256 of records_to_csv for 3 iterations of each variant on the
+# default-sized world of seed 0, recorded with the earlier per-example
+# world representation.
+GOLDEN_DEFAULT_RECORDS = {
+    LearnerVariant.SSL_IND: (
+        "f84d1db92a2c904d545ae209bb68e2c6f8174d95e4924855238950e5ed4a49be"
+    ),
+    LearnerVariant.MULTIVIEW_IND: (
+        "decf1536f6a3e593a35b40a7fd90d3e73bb6882eb414930c6f992b7b02c87a5e"
+    ),
+    LearnerVariant.ENSEMBLE_IND: (
+        "1af290983c1100004c2ee4bca904c9d7697e83033128d200a8071599efc28c1e"
+    ),
+    LearnerVariant.COOPERATIVE_UNIFORM: (
+        "ac993c2833ccf7e0b99420e96eb7d1c7b067f2d72001adfca0c7c120ea8bbb7c"
+    ),
+    LearnerVariant.COOPERATIVE_WEIGHTED: (
+        "beec31e2adaee5435b7754da9fc1a684877f8fa17a9a24d47f223e29a2d90afb"
+    ),
+    LearnerVariant.MAX_ACCURACY_UPPER_BOUND: (
+        "4481b6aab4def1f5784a40c5099c972bba62425e65e1acd8024be2568799e10a"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def default_world():
+    return generate_world(world_config(ExperimentConfig(), 0))
+
+
+@pytest.mark.parametrize("variant", list(GOLDEN_DEFAULT_RECORDS), ids=lambda v: v.name)
+def test_default_size_records_match_golden_digest(variant, default_world):
+    loop = loop_config(ExperimentConfig())
+    text = records_to_csv(run_experiment(variant, default_world, 3, loop))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DEFAULT_RECORDS[variant]
+
+
+def _world_digest(world) -> str:
+    digest = hashlib.sha256()
+    for domain in world.domains:
+        for array, dtype in (
+            (domain.ids, np.int64),
+            (domain.features, np.float64),
+            (domain.true_category, np.int64),
+            (domain.true_bits, np.int8),
+            (domain.pool.split, np.int8),
+        ):
+            digest.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
+    return digest.hexdigest()
+
+
+# SHA-256 over each domain's ids, features, true categories, true bits and
+# initial split codes (labeled 0, unlabeled 1, test 2), recorded from the
+# earlier per-example world generator.
+GOLDEN_WORLDS = {
+    "small_world": "a7f2c7d4c8886f52c7563ee5677cf0cfc39f6fc24370c27a025223f6d9b767b5",
+    "wide_pool": "ca95a4925dfc578304706c2d2e5b60d07f384061ab8d7dd4026b7ff4f01979ea",
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_WORLDS))
+def test_world_arrays_match_golden_digest(name):
+    if name == "small_world":
+        config = _small_config()
+    else:
+        wide = ExperimentConfig(unlabeled_per_category=1000, n_distractors=20000)
+        config = world_config(wide, 0)
+    assert _world_digest(generate_world(config)) == GOLDEN_WORLDS[name]
+
+
+def test_run_experiment_never_builds_the_examples_view():
+    world = generate_world(_small_config())
+    for variant in LearnerVariant:
+        run_experiment(variant, world, 5, LoopConfig(train=TrainConfig(max_iters=20)))
+    assert all("examples" not in vars(domain) for domain in world.domains)
+    domain = world.domains[1]
+    view = domain.examples
+    assert list(view) == domain.ids.tolist()
+    assert [r.true_category for r in view.values()] == domain.true_category.tolist()
+    assert all(view[i].id == i for i in view)

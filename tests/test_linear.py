@@ -5,16 +5,11 @@ import pytest
 
 from coopattr import (
     ConfigurationError,
-    Example,
     LinearClassifier,
     StateError,
     TrainConfig,
     TrainingError,
-    attribute_bank_accuracy,
-    attribute_probs,
-    category_posterior,
     train_attribute_bank,
-    train_binary,
     train_category_bank,
 )
 from coopattr.linear import (
@@ -27,69 +22,83 @@ from coopattr.linear import (
 )
 
 
-def _mean_logistic_loss(clf, features, labels):
-    # Independent check computed from predict_prob alone.
-    probs = np.array([clf.predict_prob(x) for x in features])
+def _train_one(positives, negatives, config=None) -> AttributeModelBank:
+    """One presence classifier fit on explicit positive and negative rows."""
+    features = np.vstack([np.asarray(positives, float), np.asarray(negatives, float)])
+    labels = np.r_[np.ones(len(positives), int), np.zeros(len(negatives), int)]
+    return train_attribute_bank(features, labels[:, None], config, constant_fallback=False)
+
+
+def _probs(bank, points) -> np.ndarray:
+    """The first classifier's presence probability at each point."""
+    return bank.probs_batch(np.atleast_2d(np.asarray(points, float)))[:, 0]
+
+
+def _mean_logistic_loss(bank, features, labels):
+    probs = _probs(bank, features)
     labels = np.asarray(labels, float)
     return float(-np.mean(labels * np.log(probs) + (1 - labels) * np.log(1 - probs)))
 
 
 def test_separable_pair_reaches_low_loss_as_regularization_vanishes():
     cfg = TrainConfig(l2=1e-9, learning_rate=1.0, max_iters=3000)
-    clf = train_binary([[1.0]], [[-1.0]], cfg)
-    loss = _mean_logistic_loss(clf, [[1.0], [-1.0]], [1, 0])
+    bank = _train_one([[1.0]], [[-1.0]], cfg)
+    loss = _mean_logistic_loss(bank, [[1.0], [-1.0]], [1, 0])
     assert loss < 0.1
 
 
 def test_identical_positive_and_negative_point_predicts_half():
-    clf = train_binary([[0.3, -0.7]], [[0.3, -0.7]])
-    assert clf.predict_prob([0.3, -0.7]) == pytest.approx(0.5)
+    bank = _train_one([[0.3, -0.7]], [[0.3, -0.7]])
+    assert _probs(bank, [0.3, -0.7])[0] == pytest.approx(0.5)
 
 
 def test_one_dim_sign_forced_by_data():
-    clf = train_binary([[1.0]], [[-1.0]])
-    assert clf.weights[0] > 0
+    bank = _train_one([[1.0]], [[-1.0]])
+    assert bank.classifiers[0].weights[0] > 0
 
 
 def test_train_binary_rejects_empty_class():
     with pytest.raises(TrainingError):
-        train_binary([], [[1.0]])
+        _train_one(np.empty((0, 1)), [[1.0]])
     with pytest.raises(TrainingError):
-        train_binary([[1.0]], [])
+        _train_one([[1.0]], np.empty((0, 1)))
 
 
 def test_train_binary_rejects_non_finite():
     with pytest.raises(ConfigurationError):
-        train_binary([[np.nan]], [[1.0]])
+        _train_one([[np.nan]], [[1.0]])
+
+
+def _bank(kind, weights, biases):
+    return kind(tuple(LinearClassifier(np.asarray(w, float), b) for w, b in zip(weights, biases)))
 
 
 def test_predict_prob_zero_score_is_half():
-    clf = LinearClassifier(np.zeros(3), 0.0)
-    assert clf.predict_prob([4.0, -1.0, 2.0]) == 0.5
-    clf1 = LinearClassifier(np.array([1.0]), 0.0)
-    assert clf1.predict_prob([0.0]) == 0.5
+    bank = _bank(AttributeModelBank, [np.zeros(3)], [0.0])
+    assert _probs(bank, [4.0, -1.0, 2.0])[0] == 0.5
+    one_dim = _bank(AttributeModelBank, [[1.0]], [0.0])
+    assert _probs(one_dim, [0.0])[0] == 0.5
 
 
 def test_predict_prob_clamps_at_boundary():
-    clf = LinearClassifier(np.zeros(1), 1e9)
-    assert clf.predict_prob([0.0]) == pytest.approx(1 - 1e-6)
-    low = LinearClassifier(np.zeros(1), -1e9)
-    assert low.predict_prob([0.0]) == pytest.approx(1e-6)
+    high = _bank(AttributeModelBank, [[0.0]], [1e9])
+    assert _probs(high, [0.0])[0] == pytest.approx(1 - 1e-6)
+    low = _bank(AttributeModelBank, [[0.0]], [-1e9])
+    assert _probs(low, [0.0])[0] == pytest.approx(1e-6)
 
 
 def test_predict_prob_rejects_dimension_mismatch():
-    clf = LinearClassifier(np.zeros(2), 0.0)
+    bank = _bank(AttributeModelBank, [np.zeros(2)], [0.0])
     with pytest.raises(ConfigurationError):
-        clf.predict_prob([1.0])
+        _probs(bank, [1.0])
 
 
 def test_predict_prob_monotone_in_score():
     rng = np.random.default_rng(3)
     w = rng.normal(size=4)
     w /= np.linalg.norm(w)  # scores stay well inside the clamp
-    clf = LinearClassifier(w, rng.normal())
-    points = [w * t for t in np.linspace(-3, 3, 11)]
-    probs = [clf.predict_prob(x) for x in points]
+    bank = _bank(AttributeModelBank, [w], [rng.normal()])
+    probs = _probs(bank, [w * t for t in np.linspace(-3, 3, 11)]).tolist()
     assert all(a < b for a, b in zip(probs, probs[1:]))
 
 
@@ -97,92 +106,86 @@ def _bias_bank(kind, raw_probs):
     def _logit(p):
         return float(np.log(p / (1 - p)))
 
-    clfs = tuple(LinearClassifier(np.zeros(2), _logit(p)) for p in raw_probs)
-    return kind(clfs)
+    return _bank(kind, [np.zeros(2)] * len(raw_probs), [_logit(p) for p in raw_probs])
 
 
 def test_category_posterior_uniform_when_scores_equal():
     bank = _bias_bank(CategoryModelBank, [0.3, 0.3, 0.3, 0.3])
-    post = category_posterior(bank, [0.0, 0.0])
-    assert np.allclose(post.probs, 0.25)
+    post = bank.posterior_batch(np.zeros((1, 2)))[0]
+    assert np.allclose(post, 0.25)
 
 
 def test_category_posterior_normalizes_raw_probs():
     bank = _bias_bank(CategoryModelBank, [0.9, 0.1])
-    post = category_posterior(bank, [0.0, 0.0])
-    assert np.allclose(post.probs, [0.9, 0.1])
+    assert np.allclose(bank.posterior_batch(np.zeros((1, 2)))[0], [0.9, 0.1])
     uniform = _bias_bank(CategoryModelBank, [0.5, 0.5])
-    assert np.allclose(category_posterior(uniform, [0.0, 0.0]).probs, [0.5, 0.5])
+    assert np.allclose(uniform.posterior_batch(np.zeros((1, 2)))[0], [0.5, 0.5])
 
 
 def test_category_posterior_sums_to_one_and_interior():
     rng = np.random.default_rng(11)
-    clfs = tuple(
-        LinearClassifier(rng.normal(size=3) * 5, rng.normal() * 5) for _ in range(6)
+    bank = _bank(
+        CategoryModelBank, [rng.normal(size=3) * 5 for _ in range(6)],
+        [rng.normal() * 5 for _ in range(6)],
     )
-    bank = CategoryModelBank(clfs)
-    for _ in range(50):
-        post = category_posterior(bank, rng.normal(size=3))
-        assert abs(post.probs.sum() - 1.0) < 1e-9
-        assert post.probs.min() > 0.0 and post.probs.max() < 1.0
+    posts = bank.posterior_batch(rng.normal(size=(50, 3)))
+    assert np.abs(posts.sum(axis=1) - 1.0).max() < 1e-9
+    assert posts.min() > 0.0 and posts.max() < 1.0
 
 
 def test_untrained_banks_raise_state_error():
     with pytest.raises(StateError):
-        category_posterior(CategoryModelBank(()), [1.0])
+        CategoryModelBank(()).posterior_batch(np.ones((1, 1)))
     with pytest.raises(StateError):
-        attribute_probs(AttributeModelBank(()), [1.0])
+        AttributeModelBank(()).probs_batch(np.ones((1, 1)))
 
 
 def test_attribute_probs_all_zero_classifiers():
-    bank = AttributeModelBank(tuple(LinearClassifier(np.zeros(2), 0.0) for _ in range(3)))
-    assert np.allclose(attribute_probs(bank, [1.0, -2.0]), 0.5)
+    bank = _bank(AttributeModelBank, [np.zeros(2)] * 3, [0.0] * 3)
+    assert np.allclose(bank.probs_batch(np.array([[1.0, -2.0]])), 0.5)
 
 
 def test_attribute_probs_separable_positive_side():
     bank = train_attribute_bank(
         np.array([[1.0], [2.0], [-1.0], [-2.0]]), np.array([[1], [1], [0], [0]])
     )
-    assert attribute_probs(bank, [1.5])[0] > 0.5
+    assert _probs(bank, [1.5])[0] > 0.5
     with pytest.raises(ConfigurationError):
-        attribute_probs(bank, [1.0, 2.0])
+        _probs(bank, [1.0, 2.0])
 
 
 def test_attribute_bank_accuracy_counts():
     bank = train_attribute_bank(
         np.array([[1.0], [2.0], [-1.0], [-2.0]]), np.array([[1], [1], [0], [0]])
     )
-    examples = [
-        Example(id=i, features=[x], true_attributes=[a])
-        for i, (x, a) in enumerate([(3.0, 1), (2.5, 1), (-3.0, 0), (3.0, 0)])
-    ]
-    q = attribute_bank_accuracy(bank, examples)
+    features = np.array([[3.0], [2.5], [-3.0], [3.0]])
+    q = attribute_accuracy_arrays(bank, features, np.array([[1], [1], [0], [0]]))
     assert q[0] == pytest.approx(0.75)
 
 
 def test_attribute_bank_accuracy_perfect_and_half_threshold():
-    perfect = AttributeModelBank((LinearClassifier(np.array([100.0]), 0.0),))
-    pos = [Example(id=i, features=[1.0], true_attributes=[1]) for i in range(4)]
-    assert attribute_bank_accuracy(perfect, pos)[0] == 1.0
+    perfect = _bank(AttributeModelBank, [[100.0]], [0.0])
+    features, truth = np.ones((4, 1)), np.ones((4, 1), dtype=np.int8)
+    assert attribute_accuracy_arrays(perfect, features, truth)[0] == 1.0
     # A constant 0.5 output never predicts "present" (strict > 0.5 rule).
-    constant = AttributeModelBank((LinearClassifier(np.array([0.0]), 0.0),))
-    assert attribute_bank_accuracy(constant, pos)[0] == 0.0
+    constant = _bank(AttributeModelBank, [[0.0]], [0.0])
+    assert attribute_accuracy_arrays(constant, features, truth)[0] == 0.0
 
 
 def test_attribute_bank_accuracy_rejects_empty_or_unlabeled():
-    bank = AttributeModelBank((LinearClassifier(np.zeros(1), 0.0),))
+    bank = _bank(AttributeModelBank, [np.zeros(1)], [0.0])
     with pytest.raises(ConfigurationError):
-        attribute_bank_accuracy(bank, [])
+        attribute_accuracy_arrays(bank, np.empty((0, 1)), np.empty((0, 1)))
     with pytest.raises(ConfigurationError):
-        attribute_bank_accuracy(bank, [Example(id=1, features=[1.0])])
+        attribute_accuracy_arrays(bank, np.ones((1, 1)), np.empty((1, 0)))
 
 
 def test_training_is_bit_deterministic():
     rng = np.random.default_rng(5)
     pos = rng.normal(size=(8, 3)) + 1
     neg = rng.normal(size=(9, 3)) - 1
-    a = train_binary(pos, neg)
-    b = train_binary(pos, neg)
+    a = _train_one(pos, neg).classifiers[0]
+    b = _train_one(pos, neg).classifiers[0]
     assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
 
 
@@ -190,12 +193,10 @@ def test_duplicated_training_set_keeps_sign_pattern():
     rng = np.random.default_rng(6)
     pos = rng.normal(size=(6, 2)) + 2
     neg = rng.normal(size=(6, 2)) - 2
-    once = train_binary(pos, neg)
-    twice = train_binary(np.vstack([pos, pos]), np.vstack([neg, neg]))
+    once = _train_one(pos, neg)
+    twice = _train_one(np.vstack([pos, pos]), np.vstack([neg, neg]))
     points = np.vstack([pos, neg])
-    sign_once = [once.predict_prob(x) > 0.5 for x in points]
-    sign_twice = [twice.predict_prob(x) > 0.5 for x in points]
-    assert sign_once == sign_twice
+    assert np.array_equal(_probs(once, points) > 0.5, _probs(twice, points) > 0.5)
 
 
 def test_train_category_bank_one_vs_rest():
@@ -218,7 +219,7 @@ def test_train_attribute_bank_constant_fallback():
     features = np.array([[1.0], [2.0], [3.0]])
     attributes = np.array([[1, 1], [1, 0], [1, 1]])
     bank = train_attribute_bank(features, attributes)
-    assert bank.probs([1.5])[0] == pytest.approx(1 - 1e-6)
+    assert _probs(bank, [1.5])[0] == pytest.approx(1 - 1e-6)
     with pytest.raises(TrainingError):
         train_attribute_bank(features, attributes, constant_fallback=False)
 
@@ -230,13 +231,13 @@ def test_attribute_accuracy_arrays_matches_example_path():
     attributes[0] = [0, 1]
     attributes[1] = [1, 0]
     bank = train_attribute_bank(features, attributes)
-    examples = [
-        Example(id=i, features=features[i], true_attributes=attributes[i])
+    # One example at a time, as a per-example loop would score them.
+    hits = [
+        (bank.probs_batch(features[i : i + 1])[0] > 0.5) == attributes[i].astype(bool)
         for i in range(12)
     ]
     assert np.array_equal(
-        attribute_bank_accuracy(bank, examples),
-        attribute_accuracy_arrays(bank, features, attributes),
+        np.mean(hits, axis=0), attribute_accuracy_arrays(bank, features, attributes)
     )
 
 
@@ -277,7 +278,7 @@ def test_train_banks_matches_separate_banks():
     for fused, separate in pairs:
         for got, want in zip(_stacked(fused.classifiers), _stacked(separate.classifiers)):
             assert np.array_equal(got, want)
-    assert attribute_bank.probs([0.0] * 4)[1] == pytest.approx(1 - 1e-6)
+    assert attribute_bank.probs_batch(np.zeros((1, 4)))[0, 1] == pytest.approx(1 - 1e-6)
 
 
 def test_train_banks_rejects_missing_category():

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,8 +16,6 @@ from coopattr import (
     encode_message,
     fuse_uniform,
     fuse_weighted,
-    message_from_json,
-    message_to_json,
     read_message_file,
     write_message_file,
 )
@@ -158,6 +154,45 @@ def test_round_trip_property(m, n, agent_id, iteration, with_q, seed):
     assert encode_message(again) == encode_message(msg)
 
 
+def _decode_or_decode_error(data: bytes) -> None:
+    try:
+        decode_message(data)
+    except DecodeError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=200))
+def test_decode_random_bytes_raises_only_decode_error(data):
+    _decode_or_decode_error(data)
+    _decode_or_decode_error(encode_message(MatrixMessage(0, 1, _matrix([[0.5]])))[:16] + data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_decode_mutated_or_truncated_encoding_raises_only_decode_error(m, n, with_q, seed, data):
+    rng = np.random.default_rng(seed)
+    msg = MatrixMessage(
+        agent_id=int(rng.integers(0, 32768)),
+        iteration=int(rng.integers(1, 2**31)),
+        matrix=_matrix(rng.uniform(0, 1, (m, n))),
+        accuracy_vector=rng.uniform(0, 1, m) if with_q else None,
+    )
+    encoded = encode_message(msg)
+    position = data.draw(st.integers(0, len(encoded) - 1))
+    mutated = bytearray(encoded)
+    mutated[position] = data.draw(st.integers(0, 255).filter(lambda b: b != encoded[position]))
+    _decode_or_decode_error(bytes(mutated))
+    with pytest.raises(DecodeError):
+        decode_message(encoded[:position])
+
+
 def test_decode_rejects_empty_buffer():
     with pytest.raises(DecodeError):
         decode_message(b"")
@@ -205,11 +240,3 @@ def test_catm_file_round_trip(tmp_path):
     path = tmp_path / "m.catm"
     write_message_file(msg, path)
     assert read_message_file(path) == msg
-
-
-def test_json_rendering_fields():
-    msg = MatrixMessage(1, 4, _matrix([[0.5, 0.25]]), accuracy_vector=[0.75])
-    obj = json.loads(message_to_json(msg))
-    assert list(obj) == ["agent_id", "iteration", "m", "n", "values", "q"]
-    assert obj["m"] == 1 and obj["n"] == 2
-    assert message_from_json(message_to_json(msg)) == msg

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from coopattr import (
     DISTRACTOR,
+    AgentDomain,
     AttributeCategoryMatrix,
     CategoryPosterior,
     ConfigurationError,
-    Example,
     StateError,
     move_to_labeled,
     new_pool_state,
@@ -140,17 +140,71 @@ def test_random_op_sequences_conserve_totals(ops):
     assert pool.seed_ids <= pool.labeled
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.booleans(), st.lists(st.integers(0, 9), max_size=4), st.integers(0, 3)),
+        max_size=30,
+    )
+)
+def test_array_pool_matches_set_model(ops):
+    # The id-set bookkeeping the pool arrays replaced, as the reference.
+    seeds = {0: (0, (1, 0)), 1: (1, (0, 1))}
+    pool = new_pool_state({0, 1}, set(range(2, 8)), {8, 9}, seeds)
+    labeled, unlabeled, assignments = {0, 1}, set(range(2, 8)), dict(seeds)
+    for is_move, ids, category in ops:
+        ids = list(dict.fromkeys(ids))
+        if is_move:
+            ids = [i for i in ids if i in unlabeled]
+            pool = move_to_labeled(pool, [(i, category, [i % 2, 1]) for i in ids])
+            labeled |= set(ids)
+            unlabeled -= set(ids)
+            assignments.update({i: (category, (i % 2, 1)) for i in ids})
+        else:
+            ids = [i for i in ids if i in labeled and i not in seeds]
+            pool = prune_from_labeled(pool, ids)
+            labeled -= set(ids)
+            unlabeled |= set(ids)
+            for i in ids:
+                del assignments[i]
+        assert pool.labeled == labeled and pool.unlabeled == unlabeled
+        assert pool.test == {8, 9} and pool.seed_ids == {0, 1}
+        assert pool.assignments == assignments
+
+
+def test_id_set_views_are_built_once_and_read_only():
+    pool = new_pool_state({1}, {3}, {4}, {1: (0, [1])})
+    for name in ("labeled", "unlabeled", "test", "seed_ids", "assignments"):
+        assert getattr(pool, name) is getattr(pool, name)
+    assert pool.assignments == {1: (0, (1,))}
+    with pytest.raises(TypeError):
+        pool.assignments[3] = (0, (1,))
+
+
 def test_example_requires_paired_assignment_fields():
+    # An assignment pairs a category with one bit per attribute of the pool.
+    pool = new_pool_state({1}, {3, 5}, {4}, {1: (0, [1, 0])})
     with pytest.raises(ConfigurationError):
-        Example(id=1, features=[1.0], assigned_category=2)
-    ex = Example(id=1, features=[1.0], assigned_category=2, assigned_attributes=[1, 0])
-    assert ex.assigned_attributes.tolist() == [1, 0]
+        move_to_labeled(pool, [(3, 2, [1])])
+    with pytest.raises(ConfigurationError):
+        move_to_labeled(pool, [(3, -1, [1, 0])])
+    with pytest.raises(ConfigurationError):
+        new_pool_state({1, 2}, {3}, {4}, {1: (0, [1, 0]), 2: (1, [1])})
+    with pytest.raises(ConfigurationError):
+        new_pool_state({1}, {3}, {4}, {3: (0, [1, 0])})
+    moved = move_to_labeled(pool, [(3, 2, [0, 1]), (5, 1, [])])
+    assert moved.assignments == {1: (0, (1, 0)), 3: (2, (0, 1)), 5: (1, (0, 0))}
 
 
 def test_example_features_are_readonly():
-    ex = Example(id=1, features=[1.0, 2.0], true_category=DISTRACTOR)
-    with pytest.raises(ValueError):
-        ex.features[0] = 5.0
+    domain = AgentDomain(
+        0, [1, 2], [[1.0], [2.0]], [0, DISTRACTOR], [[1], [0]], new_pool_state([1], [2], [])
+    )
+    pool = domain.pool
+    for array in (domain.ids, domain.features, domain.true_category, domain.true_bits,
+                  pool.ids, pool.split, pool.category, pool.bits, pool.seed):
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 def test_category_posterior_validation():

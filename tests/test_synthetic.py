@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from coopattr import (
     DISTRACTOR,
     AgentDomain,
     ConfigurationError,
-    Example,
     NoiseStudyConfig,
     SplitSizes,
     SyntheticWorldConfig,
@@ -19,11 +20,8 @@ from coopattr import (
     generate_world,
     good_attribute_sets,
     new_pool_state,
-    noise_sweep,
-    random_ground_truth_matrix,
-    read_world_text,
-    write_world_text,
 )
+from coopattr.pool import LABELED, TEST, UNLABELED
 
 
 def _world_config(**overrides):
@@ -31,7 +29,7 @@ def _world_config(**overrides):
     defaults = dict(
         n_categories=4,
         n_attributes=5,
-        ground_truth_matrix=random_ground_truth_matrix(5, 4, rng),
+        ground_truth_matrix=rng.uniform(0.05, 0.95, (5, 4)),
         examples_per_category=SplitSizes(labeled=3, unlabeled=6, test=4),
         n_distractors=7,
         feature_dims=(6, 5),
@@ -43,23 +41,29 @@ def _world_config(**overrides):
     return SyntheticWorldConfig(**defaults)
 
 
-def _domain_features(domain):
-    return np.stack([domain.examples[i].features for i in sorted(domain.examples)])
+def _arrays(domain):
+    pool = domain.pool
+    return (domain.ids, domain.features, domain.true_category, domain.true_bits,
+            pool.ids, pool.split, pool.category, pool.bits, pool.seed)
+
+
+def _rows(domain, ids):
+    return np.searchsorted(domain.ids, ids)
 
 
 def test_same_seed_gives_identical_worlds():
     a = generate_world(_world_config())
     b = generate_world(_world_config())
     for da, db in zip(a.domains, b.domains):
-        assert da.pool == db.pool
-        assert np.array_equal(_domain_features(da), _domain_features(db))
+        for xa, xb in zip(_arrays(da), _arrays(db)):
+            assert xa.dtype == xb.dtype and np.array_equal(xa, xb)
     assert a.paired_test_ids == b.paired_test_ids
 
 
 def test_different_seed_changes_the_world():
     a = generate_world(_world_config())
     b = generate_world(_world_config(rng_seed=43))
-    assert not np.array_equal(_domain_features(a.domains[0]), _domain_features(b.domains[0]))
+    assert not np.array_equal(a.domains[0].features, b.domains[0].features)
 
 
 def test_world_structure_sizes_and_disjointness():
@@ -71,50 +75,50 @@ def test_world_structure_sizes_and_disjointness():
         assert len(domain.pool.test) == 4 * sizes.test
         expected_distractors = (cfg.n_distractors + 1) // 2 if agent == 0 else cfg.n_distractors // 2
         assert len(domain.pool.unlabeled) == 4 * sizes.unlabeled + expected_distractors
-    ids0 = set(world.domains[0].examples)
-    ids1 = set(world.domains[1].examples)
+    ids0 = set(world.domains[0].ids.tolist())
+    ids1 = set(world.domains[1].ids.tolist())
     assert ids0.isdisjoint(ids1)
 
 
 def test_distractors_carry_sentinel_and_only_live_unlabeled():
     world = generate_world(_world_config())
-    for domain in world.domains:
-        for ex_id, ex in domain.examples.items():
-            if ex.true_category == DISTRACTOR:
-                assert ex_id in domain.pool.unlabeled
-        assert all(
-            domain.examples[i].true_category != DISTRACTOR for i in domain.pool.labeled
-        )
-        assert all(
-            domain.examples[i].true_category != DISTRACTOR for i in domain.pool.test
-        )
+    for agent, domain in enumerate(world.domains):
+        distractor = domain.true_category == DISTRACTOR
+        assert distractor.sum() == (4 if agent == 0 else 3)
+        assert (domain.pool.split[distractor] == UNLABELED).all()
 
 
 def test_seed_examples_are_annotated_with_truth():
     world = generate_world(_world_config())
     for domain in world.domains:
-        for ex_id in domain.pool.labeled:
-            ex = domain.examples[ex_id]
-            category, bits = domain.pool.assignments[ex_id]
-            assert category == ex.true_category
-            assert list(bits) == ex.true_attributes.tolist()
+        pool = domain.pool
+        assert np.array_equal(pool.seed, pool.split == LABELED) and pool.seed.sum() == 12
+        assert np.array_equal(pool.category[pool.seed], domain.true_category[pool.seed])
+        assert np.array_equal(pool.bits[pool.seed], domain.true_bits[pool.seed])
+        assert not pool.bits[~pool.seed].any()
+        for ex_id, (category, bits) in pool.assignments.items():
+            row = _rows(domain, ex_id)
+            assert category == domain.true_category[row]
+            assert list(bits) == domain.true_bits[row].tolist()
 
 
 def test_paired_test_examples_share_attribute_draws():
     world = generate_world(_world_config())
-    for id0, id1 in world.paired_test_ids:
-        ex0 = world.domains[0].examples[id0]
-        ex1 = world.domains[1].examples[id1]
-        assert ex0.true_category == ex1.true_category
-        assert np.array_equal(ex0.true_attributes, ex1.true_attributes)
+    d0, d1 = world.domains
+    pairs = np.array(world.paired_test_ids)
+    assert pairs.shape == (16, 2)
+    for domain, ids in ((d0, pairs[:, 0]), (d1, pairs[:, 1])):
+        assert (domain.pool.split[_rows(domain, ids)] == TEST).all()
+    rows0, rows1 = _rows(d0, pairs[:, 0]), _rows(d1, pairs[:, 1])
+    assert np.array_equal(d0.true_category[rows0], d1.true_category[rows1])
+    assert np.array_equal(d0.true_bits[rows0], d1.true_bits[rows1])
 
 
 def test_agent_embeddings_differ():
     world = generate_world(_world_config(feature_dims=(6, 6), feature_noise_stds=(0.0, 0.0)))
+    d0, d1 = world.domains
     for id0, id1 in world.paired_test_ids[:5]:
-        f0 = world.domains[0].examples[id0].features
-        f1 = world.domains[1].examples[id1].features
-        assert not np.allclose(f0, f1)
+        assert not np.allclose(d0.features[_rows(d0, id0)], d1.features[_rows(d1, id1)])
 
 
 def test_noiseless_world_with_certain_attributes_repeats_features():
@@ -129,13 +133,10 @@ def test_noiseless_world_with_certain_attributes_repeats_features():
     )
     world = generate_world(cfg)
     domain = world.domains[0]
-    by_category = {}
-    for ex in domain.examples.values():
-        assert ex.true_attributes.tolist() == [1, 1, 1]
-        by_category.setdefault(ex.true_category, []).append(ex.features)
-    for feats in by_category.values():
-        for f in feats[1:]:
-            assert np.array_equal(f, feats[0])
+    assert (domain.true_bits == 1).all()
+    for category in (0, 1):
+        feats = domain.features[domain.true_category == category]
+        assert len(feats) > 1 and (feats == feats[0]).all()
 
 
 def test_flip_rate_zero_and_degenerate_rate_pin_attributes():
@@ -147,8 +148,7 @@ def test_flip_rate_zero_and_degenerate_rate_pin_attributes():
     )
     world = generate_world(cfg)
     for domain in world.domains:
-        for ex in domain.examples.values():
-            assert ex.true_attributes.tolist() == [1, 0]
+        assert domain.true_bits.tolist() == [[1, 0]] * domain.ids.size
 
 
 def test_estimate_matrix_recovers_generator_rates():
@@ -159,25 +159,11 @@ def test_estimate_matrix_recovers_generator_rates():
     )
     world = generate_world(cfg)
     domain = world.domains[0]
-    ids = sorted(domain.pool.labeled)
-    categories = np.array([domain.examples[i].true_category for i in ids])
-    attributes = np.stack([domain.examples[i].true_attributes for i in ids])
+    labeled = domain.pool.split == LABELED
+    categories = domain.true_category[labeled]
+    attributes = domain.true_bits[labeled]
     estimated = estimate_matrix_from_labels(categories, attributes, 4, 5)
     assert np.abs(estimated.values - cfg.ground_truth_matrix).max() <= 3 / np.sqrt(400)
-
-
-def test_world_text_round_trip(tmp_path):
-    world = generate_world(_world_config())
-    path = tmp_path / "world.txt"
-    write_world_text(world, path)
-    rows = read_world_text(path)
-    total = sum(len(d.examples) for d in world.domains)
-    assert len(rows) == total
-    agent, ex_id, split, category, bits, feats = rows[0]
-    ex = world.domains[agent].examples[ex_id]
-    assert category == ex.true_category
-    assert np.array_equal(bits, ex.true_attributes)
-    assert np.array_equal(feats, ex.features)  # repr round-trips floats exactly
 
 
 def test_good_attribute_sets_partition():
@@ -223,7 +209,7 @@ def test_calibration_hits_target_bands():
 
 def test_noise_sweep_common_random_numbers():
     cfg = NoiseStudyConfig(rng_seed=3)
-    low, high = noise_sweep([1.0, 2.0], cfg)
+    low, high = (generate_noise_dataset(replace(cfg, good_noise_std=s)) for s in (1.0, 2.0))
     good0, _ = good_attribute_sets(cfg)
     cols = sorted(good0)
     truth = low.test_attributes[:, cols].astype(float)
@@ -242,22 +228,12 @@ def test_noise_sweep_common_random_numbers():
 def test_noise_sweep_final_level_makes_attributes_indistinguishable():
     sigma_bad = calibrate_noise_std(0.575, rng_seed=1)
     cfg = NoiseStudyConfig(bad_noise_std=sigma_bad, test_count=5000, rng_seed=1)
-    (data,) = noise_sweep([sigma_bad], cfg)
+    data = generate_noise_dataset(replace(cfg, good_noise_std=sigma_bad))
     good0, _ = good_attribute_sets(cfg)
     hits = (data.test_predictions[0] > 0.5) == data.test_attributes.astype(bool)
     good_acc = hits[:, sorted(good0)].mean()
     bad_acc = hits[:, sorted(set(range(10)) - good0)].mean()
     assert abs(good_acc - bad_acc) < 0.02
-
-
-def test_noise_sweep_rejects_descending_levels():
-    with pytest.raises(ConfigurationError):
-        noise_sweep([2.0, 1.0], NoiseStudyConfig())
-
-
-def test_singleton_sweep():
-    datasets = noise_sweep([0.5], NoiseStudyConfig(rng_seed=2))
-    assert len(datasets) == 1
 
 
 def test_contrast_matrix_profiles_are_separated():
@@ -280,14 +256,28 @@ def test_world_config_validation():
 
 
 def test_agent_domain_arrays_follow_sorted_ids():
-    examples = {i: Example(id=i, features=[float(i), -1.0]) for i in (7, 2, 5)}
-    domain = AgentDomain(0, 2, examples, new_pool_state([2], [7], [5]))
-    assert domain.ids.tolist() == [2, 5, 7]
-    assert domain.feature_matrix[:, 0].tolist() == [2.0, 5.0, 7.0]
-    assert domain.feature_matrix is domain.feature_matrix  # stacked once
+    pool = new_pool_state([2], [7], [5])
+    domain = AgentDomain(
+        0, [2, 5, 7], [[2.0, -1.0], [5.0, -1.0], [7.0, -1.0]], [0, 1, DISTRACTOR],
+        np.zeros((3, 1)), pool,
+    )
+    assert domain.ids.tolist() == pool.ids.tolist() == [2, 5, 7]
+    assert pool.split.tolist() == [LABELED, TEST, UNLABELED]
+    assert domain.features[:, 0].tolist() == [2.0, 5.0, 7.0]
+    with pytest.raises(ConfigurationError):  # rows out of id order
+        AgentDomain(0, [7, 2, 5], domain.features, domain.true_category, domain.true_bits, pool)
 
 
 def test_agent_domain_rejects_pool_id_without_example():
-    examples = {i: Example(id=i, features=[0.0]) for i in (1, 2)}
     with pytest.raises(ConfigurationError):
-        AgentDomain(0, 1, examples, new_pool_state([1], [2, 3], []))
+        AgentDomain(0, [1, 2], [[0.0], [0.0]], [0, 0], np.zeros((2, 1)),
+                    new_pool_state([1], [2, 3], []))
+    pool = new_pool_state([1], [2], [])
+    for features, categories, bits in (
+        ([[0.0]], [0, 0], np.zeros((2, 1))),
+        ([[0.0], [0.0]], [0], np.zeros((2, 1))),
+        ([[0.0], [0.0]], [0, 0], np.zeros(2)),
+        (np.zeros((2, 0)), [0, 0], np.zeros((2, 1))),
+    ):
+        with pytest.raises(ConfigurationError):
+            AgentDomain(0, [1, 2], features, categories, bits, pool)
