@@ -49,8 +49,6 @@ from .messages import (
     encode_message,
     fuse_uniform,
     fuse_weighted,
-    read_message_file,
-    write_message_file,
 )
 from .pool import (
     DISTRACTOR,

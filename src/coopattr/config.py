@@ -49,7 +49,6 @@ class ExperimentConfig:
     l2: float = 1e-3
     learning_rate: float = 0.5
     max_iters: int = 500
-    tol: float = 1e-6
     # Noise study
     noise_levels: int = 6
     good_accuracy_target: float = 0.92
@@ -110,6 +109,8 @@ def load_experiment_config(path: str | Path | None) -> ExperimentConfig:
 
 def world_config(cfg: ExperimentConfig, seed: int) -> SyntheticWorldConfig:
     """World for one run; the ground-truth table is drawn from the seed."""
+    if seed < 0:
+        raise ConfigurationError("seed must be non-negative")
     matrix = contrast_ground_truth_matrix(
         cfg.n_attributes,
         cfg.n_categories,
@@ -140,10 +141,7 @@ def loop_config(cfg: ExperimentConfig) -> LoopConfig:
         prunes_per_category=cfg.prunes_per_category,
         prune_every=cfg.prune_every,
         train=TrainConfig(
-            l2=cfg.l2,
-            learning_rate=cfg.learning_rate,
-            max_iters=cfg.max_iters,
-            tol=cfg.tol,
+            l2=cfg.l2, learning_rate=cfg.learning_rate, max_iters=cfg.max_iters
         ),
     )
 

@@ -6,6 +6,11 @@ variants only), score the unlabeled pool, transfer, prune on schedule, then
 record metrics. Runs are fully deterministic: the same variant, world, and
 config always produce identical records.
 
+At the barrier each cooperative agent sends its matrix, plus its accuracy
+vector Q for weighted fusion, as one ``encode_message`` byte string (the
+``.catm`` wire format), and fuses its own matrix with the
+``decode_message`` of its peer's bytes. The float64 round trip is exact.
+
 Variants:
 
 * ``SSL_IND``: plain self-training per agent, feature-category view only.
@@ -36,7 +41,7 @@ from .linear import (
     train_banks,
     train_category_bank,
 )
-from .messages import fuse_uniform, fuse_weighted
+from .messages import MatrixMessage, decode_message, encode_message, fuse_uniform, fuse_weighted
 from .pool import (
     DISTRACTOR,
     LABELED,
@@ -296,27 +301,26 @@ def run_experiment(
         return _run_upper_bound(world, iterations, cfg)
     aware = variant in _ATTRIBUTE_AWARE
     weighted = variant is LearnerVariant.COOPERATIVE_WEIGHTED
+    cooperative = weighted or variant is LearnerVariant.COOPERATIVE_UNIFORM
     n_categories = world.config.n_categories
     runs = [_AgentRun(domain) for domain in world.domains]
     records = []
     for t in range(1, iterations + 1):
         for run in runs:
             _train_agent(run, world, cfg, aware, weighted)
-        if variant is LearnerVariant.COOPERATIVE_UNIFORM:
-            fused = [
-                fuse_uniform(runs[k].matrix, [runs[1 - k].matrix]) for k in range(len(runs))
+        if cooperative:
+            sent = [
+                encode_message(MatrixMessage(k, t, run.matrix, run.q))
+                for k, run in enumerate(runs)
             ]
-            for run, matrix in zip(runs, fused):
-                run.matrix = matrix
-        elif weighted:
-            fused = [
-                fuse_weighted(
-                    (runs[k].matrix, runs[k].q), [(runs[1 - k].matrix, runs[1 - k].q)]
-                )
-                for k in range(len(runs))
-            ]
-            for run, matrix in zip(runs, fused):
-                run.matrix = matrix
+            for k, run in enumerate(runs):
+                peer = decode_message(sent[1 - k])
+                if weighted:
+                    run.matrix = fuse_weighted(
+                        (run.matrix, run.q), [(peer.matrix, peer.accuracy_vector)]
+                    )
+                else:
+                    run.matrix = fuse_uniform(run.matrix, [peer.matrix])
         moved = [_advance_agent(run, t, cfg, aware, n_categories) for run in runs]
         ensemble_accuracy = (
             _ensemble_test_accuracy(runs, world)

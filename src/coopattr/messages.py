@@ -10,7 +10,7 @@ offset size   field
 6      2      M, number of attributes (matrix rows)
 8      2      N, number of categories (matrix columns)
 10     2      flags: bit 0 = accuracy vector present, bits 1-15 = sender id
-12     4      iteration number (>= 1)
+12     4      iteration number (1 to 2**32 - 1)
 16     M*N*8  matrix entries, IEEE-754 binary64, row-major (rows = attributes)
 ...    M*8    optional per-attribute accuracy vector Q
 ====== ====== ==========================================================
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +33,7 @@ WIRE_VERSION = 1
 HEADER = struct.Struct("<4sHHHHI")
 _FLAG_Q = 0x0001
 _MAX_AGENT_ID = 0x7FFF
+_MAX_ITERATION = 0xFFFFFFFF
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,8 +48,8 @@ class MatrixMessage:
     def __post_init__(self):
         if not 0 <= self.agent_id <= _MAX_AGENT_ID:
             raise ConfigurationError(f"agent_id must be in [0, {_MAX_AGENT_ID}]")
-        if self.iteration < 1:
-            raise ConfigurationError("iteration must be at least 1")
+        if not 1 <= self.iteration <= _MAX_ITERATION:
+            raise ConfigurationError(f"iteration must be in [1, {_MAX_ITERATION}]")
         if self.accuracy_vector is not None:
             q = np.asarray(self.accuracy_vector, dtype=float).copy()
             if q.shape != (self.matrix.n_attributes,):
@@ -165,11 +165,3 @@ def decode_message(data: bytes) -> MatrixMessage:
     except ConfigurationError as exc:
         raise DecodeError(f"invalid payload values after byte {HEADER.size}: {exc}") from exc
 
-
-def write_message_file(msg: MatrixMessage, path) -> None:
-    """Write the canonical encoding to a ``.catm`` file for offline exchange."""
-    Path(path).write_bytes(encode_message(msg))
-
-
-def read_message_file(path) -> MatrixMessage:
-    return decode_message(Path(path).read_bytes())

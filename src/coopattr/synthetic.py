@@ -78,8 +78,10 @@ class SyntheticWorldConfig:
             raise ConfigurationError("attribute_flip_rate must be in [0, 1)")
         if min(self.feature_dims) < 1:
             raise ConfigurationError("feature dimensions must be positive")
-        if min(self.feature_noise_stds) < 0.0:
-            raise ConfigurationError("feature noise must be non-negative")
+        if not all(math.isfinite(s) and s >= 0.0 for s in self.feature_noise_stds):
+            raise ConfigurationError("feature noise must be finite and non-negative")
+        if self.rng_seed < 0:
+            raise ConfigurationError("rng_seed must be non-negative")
 
 
 #: One row of the lazily built ``AgentDomain.examples`` view.
@@ -278,6 +280,8 @@ class NoiseStudyConfig:
             raise ConfigurationError("noise levels must be non-negative")
         if self.labeled_count < self.n_categories or self.test_count < self.n_categories:
             raise ConfigurationError("need at least one labeled and test example per category")
+        if self.rng_seed < 0:
+            raise ConfigurationError("rng_seed must be non-negative")
         if self.agent0_good_attributes is not None:
             good = tuple(sorted(set(int(j) for j in self.agent0_good_attributes)))
             if good and (good[0] < 0 or good[-1] >= self.n_attributes):

@@ -39,8 +39,7 @@ def test_parse_flat_config_rejects_duplicate_key():
         "learning_rate = inf",
         "l2 = -0.001",
         "l2 = nan",
-        "tol = -1e-6",
-        "tol = nan",
+        "tol = 1e-6",
         "transfers_per_category = 0",
         "prunes_per_category = 0",
         "prune_every = -3",
@@ -48,6 +47,9 @@ def test_parse_flat_config_rejects_duplicate_key():
         "unlabeled_per_category = 0",
         "n_categories = 1",
         "attribute_flip_rate = 1.0",
+        "feature_noise_std_a = nan",
+        "feature_noise_std_b = inf",
+        "noise_rng_seed = -1",
         "noise_levels = 0",
         "noise_seeds = 0",
         "noise_test_count = 0",
@@ -151,6 +153,11 @@ def test_report_requires_records(tmp_path):
 def test_unknown_variant_exits():
     with pytest.raises(SystemExit):
         main(["run", "--variant", "nope", "--out", "/tmp/x"])
+
+
+def test_run_rejects_negative_seed(tmp_path):
+    with pytest.raises(SystemExit, match="^error: "):
+        main(["run", "--variant", "ssl_ind", "--seed", "-1", "--out", str(tmp_path)])
 
 
 def test_sweep_noise_writes_results(tmp_path):

@@ -201,6 +201,27 @@ def test_identity_fusion_makes_cooperative_match_multiview(small_world, monkeypa
     assert coop == multi
 
 
+@pytest.mark.parametrize("variant", list(LearnerVariant))
+def test_cooperative_agents_exchange_catm_bytes(variant, small_world, monkeypatch):
+    encode = harness.encode_message
+    sent = []
+
+    def recording_encode(msg):
+        data = encode(msg)
+        sent.append((msg.agent_id, msg.iteration, len(data)))
+        return data
+
+    monkeypatch.setattr(harness, "encode_message", recording_encode)
+    run_experiment(variant, small_world, 4, _FAST)
+    m, n = small_world.config.n_attributes, small_world.config.n_categories
+    size = 16 + 8 * m * n
+    if variant is LearnerVariant.COOPERATIVE_WEIGHTED:
+        size += 8 * m
+    cooperative = (LearnerVariant.COOPERATIVE_UNIFORM, LearnerVariant.COOPERATIVE_WEIGHTED)
+    expected = [(k, t, size) for t in range(1, 5) for k in (0, 1)]
+    assert sent == (expected if variant in cooperative else [])
+
+
 def test_ensemble_pool_trajectory_matches_ssl(small_world):
     ssl = run_experiment(LearnerVariant.SSL_IND, small_world, 6, _FAST)
     ens = run_experiment(LearnerVariant.ENSEMBLE_IND, small_world, 6, _FAST)

@@ -267,9 +267,7 @@ def test_train_banks_matches_separate_banks():
     categories = np.arange(30) % 3
     attributes = (rng.random((30, 3)) < 0.5).astype(np.int8)
     attributes[:, 1] = 1  # single-class column: the constant fallback runs
-    # tol = 0 keeps every fit stepping to max_iters: the banks stop jointly
-    # once fused, so an early stop is the one case where they may differ.
-    cfg = TrainConfig(max_iters=200, tol=0.0)
+    cfg = TrainConfig(max_iters=200)
     category_bank, attribute_bank = train_banks(features, categories, attributes, 3, cfg)
     pairs = [
         (category_bank, train_category_bank(features, categories, 3, cfg)),
@@ -301,8 +299,6 @@ def test_train_banks_rejects_missing_category():
         ("learning_rate", float("inf")),
         ("l2", -1e-3),
         ("l2", float("nan")),
-        ("tol", -1e-6),
-        ("tol", float("nan")),
     ],
 )
 def test_train_config_rejects_bad_value(field, value):

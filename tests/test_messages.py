@@ -16,8 +16,6 @@ from coopattr import (
     encode_message,
     fuse_uniform,
     fuse_weighted,
-    read_message_file,
-    write_message_file,
 )
 
 
@@ -232,11 +230,8 @@ def test_message_requires_valid_iteration_and_q():
     with pytest.raises(ConfigurationError):
         MatrixMessage(agent_id=0, iteration=0, matrix=matrix)
     with pytest.raises(ConfigurationError):
+        MatrixMessage(agent_id=0, iteration=2**32, matrix=matrix)
+    last = MatrixMessage(agent_id=0, iteration=2**32 - 1, matrix=matrix)
+    assert decode_message(encode_message(last)) == last
+    with pytest.raises(ConfigurationError):
         MatrixMessage(agent_id=0, iteration=1, matrix=matrix, accuracy_vector=[0.5, 0.5])
-
-
-def test_catm_file_round_trip(tmp_path):
-    msg = MatrixMessage(3, 9, _matrix([[0.125, 0.5], [0.75, 1.0]]))
-    path = tmp_path / "m.catm"
-    write_message_file(msg, path)
-    assert read_message_file(path) == msg
