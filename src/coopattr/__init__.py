@@ -69,7 +69,6 @@ from .synthetic import (
     calibrate_noise_std,
     contrast_ground_truth_matrix,
     generate_noise_dataset,
-    generate_noise_study,
     generate_world,
     good_attribute_sets,
 )

@@ -56,6 +56,7 @@ from .synthetic import (
     NoiseStudyConfig,
     SyntheticWorld,
     calibrate_noise_std,
+    check_noise_std,
     generate_noise_dataset,
     good_attribute_sets,
 )
@@ -368,6 +369,8 @@ class NoiseSweepConfig:
     def __post_init__(self):
         if len(self.levels) < 1:
             raise ConfigurationError("sweep needs at least one noise level")
+        for level in self.levels:
+            check_noise_std(level)
         if self.n_seeds < 1:
             raise ConfigurationError("sweep needs at least one seed")
 
@@ -414,7 +417,9 @@ def run_noise_study(sweep: NoiseSweepConfig) -> list[NoiseLevelResult]:
     """
     n_cat = sweep.study.n_categories
     n_attr = sweep.study.n_attributes
-    good_sets = good_attribute_sets(sweep.study)
+    # (good, bad) columns per agent: each agent's bad attributes are the other's good ones.
+    first, second = (sorted(good) for good in good_attribute_sets(sweep.study))
+    columns = ((first, second), (second, first))
     results = []
     for level in sweep.levels:
         baseline, cooperative, good_acc, bad_acc = [], [], [], []
@@ -443,11 +448,8 @@ def run_noise_study(sweep: NoiseSweepConfig) -> list[NoiseLevelResult]:
                 cooperative.append(
                     compute_class_average_accuracy(fused_preds, data.test_categories, n_cat)
                 )
-                thresholded = unary > 0.5
-                truth = data.test_attributes.astype(bool)
-                hits = thresholded == truth
-                good = sorted(good_sets[agent])
-                bad = sorted(frozenset(range(n_attr)) - good_sets[agent])
+                hits = (unary > 0.5) == data.test_attributes.astype(bool)
+                good, bad = columns[agent]
                 good_acc.append(float(hits[:, good].mean()))
                 bad_acc.append(float(hits[:, bad].mean()))
         results.append(

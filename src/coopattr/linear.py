@@ -191,13 +191,12 @@ def train_attribute_bank(
     features: np.ndarray,
     attributes: np.ndarray,
     config: TrainConfig | None = None,
-    constant_fallback: bool = True,
 ) -> AttributeModelBank:
     """Train the M attribute presence classifiers in one vectorized pass.
 
-    An attribute whose labels are single-class in the pool cannot be fit; with
-    ``constant_fallback`` it becomes a bias-only classifier at the clamped
-    empirical rate instead of aborting the run.
+    An attribute whose labels are single-class in the pool cannot be fit; it
+    becomes a bias-only classifier at the clamped empirical rate instead of
+    aborting the run.
     """
     config = config or TrainConfig()
     features = _feature_matrix(features, "features")
@@ -210,9 +209,6 @@ def train_attribute_bank(
     n_attributes = targets.shape[1]
     rates = targets.mean(axis=0)
     mixed = np.flatnonzero((rates > 0.0) & (rates < 1.0))
-    if mixed.size < n_attributes and not constant_fallback:
-        degenerate = int(np.flatnonzero((rates == 0.0) | (rates == 1.0))[0])
-        raise TrainingError(f"attribute {degenerate} has single-class labels")
     classifiers: list[LinearClassifier | None] = [None] * n_attributes
     if mixed.size:
         weights, bias = _fit(features, targets[:, mixed], config)

@@ -139,12 +139,12 @@ class SyntheticWorld:
 
 def contrast_ground_truth_matrix(
     n_attributes: int, n_categories: int, rng: np.random.Generator,
-    low: float = 0.1, high: float = 0.9, min_hamming: int = 2,
+    low: float = 0.1, high: float = 0.9,
 ) -> np.ndarray:
     """Two-level presence rates with well-separated per-category profiles.
 
-    Profiles are redrawn until every pair differs in at least ``min_hamming``
-    attributes, so no two categories are near-indistinguishable by attributes.
+    Profiles are redrawn until every pair differs in at least two attributes,
+    so no two categories are near-indistinguishable by attributes.
     """
     if not low < high:
         raise ConfigurationError("the low presence rate must be below the high one")
@@ -154,7 +154,7 @@ def contrast_ground_truth_matrix(
         pattern = rng.random((n_attributes, n_categories)) < 0.5
         distances = (pattern[:, :, None] != pattern[:, None, :]).sum(axis=0)
         distances[np.diag_indices(n_categories)] = n_attributes + 1
-        if distances.min() >= min_hamming:
+        if distances.min() >= 2:
             return np.where(pattern, high, low)
     raise ConfigurationError("could not draw separated category profiles")
 
@@ -260,49 +260,36 @@ class NoiseStudyConfig:
 
     n_categories: int = 10
     n_attributes: int = 10
-    ground_truth_matrix: np.ndarray | None = None
     good_noise_std: float = 0.5
     bad_noise_std: float = 2.5
-    agent0_good_attributes: tuple[int, ...] | None = None
     labeled_count: int = 50
     test_count: int = 200
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.ground_truth_matrix is not None:
-            matrix = np.asarray(self.ground_truth_matrix, dtype=float)
-            if matrix.shape != (self.n_attributes, self.n_categories):
-                raise ConfigurationError("ground_truth_matrix has the wrong shape")
-            matrix = matrix.copy()
-            matrix.setflags(write=False)
-            object.__setattr__(self, "ground_truth_matrix", matrix)
-        if self.good_noise_std < 0.0 or self.bad_noise_std < 0.0:
-            raise ConfigurationError("noise levels must be non-negative")
+        check_noise_std(self.good_noise_std)
+        check_noise_std(self.bad_noise_std)
         if self.labeled_count < self.n_categories or self.test_count < self.n_categories:
             raise ConfigurationError("need at least one labeled and test example per category")
         if self.rng_seed < 0:
             raise ConfigurationError("rng_seed must be non-negative")
-        if self.agent0_good_attributes is not None:
-            good = tuple(sorted(set(int(j) for j in self.agent0_good_attributes)))
-            if good and (good[0] < 0 or good[-1] >= self.n_attributes):
-                raise ConfigurationError("good attribute indices out of range")
-            object.__setattr__(self, "agent0_good_attributes", good)
+
+
+def check_noise_std(value: float) -> None:
+    """Reject a noise level that is negative, infinite or NaN."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ConfigurationError(f"noise levels must be finite and non-negative, got {value!r}")
 
 
 def good_attribute_sets(config: NoiseStudyConfig) -> tuple[frozenset[int], frozenset[int]]:
-    """The two agents' reliable attribute sets; they partition the M attributes."""
-    if config.agent0_good_attributes is None:
-        first = frozenset(range((config.n_attributes + 1) // 2))
-    else:
-        first = frozenset(config.agent0_good_attributes)
-    second = frozenset(range(config.n_attributes)) - first
-    return first, second
+    """The two agents' reliable attribute sets: agent 0 has the first
+    ``(M + 1) // 2`` attributes, agent 1 the rest."""
+    first = frozenset(range((config.n_attributes + 1) // 2))
+    return first, frozenset(range(config.n_attributes)) - first
 
 
-def generate_noise_study(
-    config: NoiseStudyConfig, annotations: np.ndarray, stream: int = 0
-) -> np.ndarray:
-    """Both agents' noisy views of one set of binary attribute annotations.
+def _noisy_predictions(config: NoiseStudyConfig, annotations: np.ndarray) -> np.ndarray:
+    """Both agents' noisy views of the binary test annotations.
 
     Returns a (2, n_examples, n_attributes) array: annotation plus Gaussian
     noise at the per-agent, per-attribute level, clamped back into (0, 1) so
@@ -310,19 +297,9 @@ def generate_noise_study(
     the seed and shapes, so sweeping the noise level reuses the same draws
     (common random numbers).
     """
-    annotations = np.asarray(annotations, dtype=float)
-    if annotations.ndim != 2 or annotations.shape[1] != config.n_attributes:
-        raise ConfigurationError("annotations must be (n_examples, n_attributes)")
-    if not np.isin(annotations, (0.0, 1.0)).all():
-        raise ConfigurationError("annotations must be binary")
-    sets = good_attribute_sets(config)
-    sigma = np.empty((2, config.n_attributes))
-    for agent in (0, 1):
-        for j in range(config.n_attributes):
-            sigma[agent, j] = (
-                config.good_noise_std if j in sets[agent] else config.bad_noise_std
-            )
-    rng = np.random.default_rng([config.rng_seed, _STREAM_STUDY_NOISE, stream])
+    good = np.isin(np.arange(config.n_attributes), list(good_attribute_sets(config)[0]))
+    sigma = np.where(np.stack([good, ~good]), config.good_noise_std, config.bad_noise_std)
+    rng = np.random.default_rng([config.rng_seed, _STREAM_STUDY_NOISE, 1])
     draws = rng.standard_normal((2,) + annotations.shape)
     noisy = annotations[None, :, :] + sigma[:, None, :] * draws
     return np.clip(noisy, PREDICTION_CLAMP, 1.0 - PREDICTION_CLAMP)
@@ -343,8 +320,6 @@ class NoiseStudyDataset:
     on the test examples.
     """
 
-    config: NoiseStudyConfig
-    ground_truth_matrix: np.ndarray
     labeled_categories: np.ndarray  # (2, labeled_count)
     labeled_attributes: np.ndarray  # (2, labeled_count, n_attributes)
     test_categories: np.ndarray  # (test_count,)
@@ -355,12 +330,9 @@ class NoiseStudyDataset:
 def generate_noise_dataset(config: NoiseStudyConfig) -> NoiseStudyDataset:
     seed = config.rng_seed
     n_cat, n_attr = config.n_categories, config.n_attributes
-    truth = config.ground_truth_matrix
-    if truth is None:
-        truth = contrast_ground_truth_matrix(
-            n_attr, n_cat, np.random.default_rng([seed, _STREAM_STUDY_MATRIX]),
-            low=0.2, high=0.8,
-        )
+    truth = contrast_ground_truth_matrix(
+        n_attr, n_cat, np.random.default_rng([seed, _STREAM_STUDY_MATRIX]), low=0.2, high=0.8
+    )
     labeled_cats = np.empty((2, config.labeled_count), dtype=int)
     labeled_attrs = np.empty((2, config.labeled_count, n_attr), dtype=np.int8)
     for agent in (0, 1):
@@ -376,13 +348,11 @@ def generate_noise_dataset(config: NoiseStudyConfig) -> NoiseStudyDataset:
         test_rng.random((test_cats.size, n_attr)) < truth[:, test_cats].T
     ).astype(np.int8)
     return NoiseStudyDataset(
-        config=config,
-        ground_truth_matrix=truth,
         labeled_categories=labeled_cats,
         labeled_attributes=labeled_attrs,
         test_categories=test_cats,
         test_attributes=test_attrs,
-        test_predictions=generate_noise_study(config, test_attrs, stream=1),
+        test_predictions=_noisy_predictions(config, test_attrs),
     )
 
 
@@ -396,16 +366,16 @@ def check_accuracy_target(target_accuracy: float, name: str = "target accuracy")
         raise ConfigurationError(f"{name} must be in (0.5, 1.0), got {target_accuracy!r}")
 
 
-def calibrate_noise_std(
-    target_accuracy: float, rng_seed: int = 0, n_samples: int = 200_000
-) -> float:
+def calibrate_noise_std(target_accuracy: float, rng_seed: int = 0) -> float:
     """Noise level whose thresholded predictions hit the target binary accuracy.
 
-    Empirical bisection on a large sample of simulated annotations; accuracy
-    is monotone decreasing in the noise level, from 1.0 at zero noise toward
-    chance (0.5).
+    Empirical bisection on 200,000 simulated annotations; accuracy is monotone
+    decreasing in the noise level, from 1.0 at zero noise toward chance (0.5).
     """
     check_accuracy_target(target_accuracy)
+    if rng_seed < 0:
+        raise ConfigurationError("rng_seed must be non-negative")
+    n_samples = 200_000
     rng = np.random.default_rng([rng_seed, _STREAM_CALIBRATION])
     bits = rng.random(n_samples) < 0.5
     draws = rng.standard_normal(n_samples)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import csv
+import hashlib
+from dataclasses import fields, replace
 
 import pytest
 
@@ -9,8 +11,10 @@ from coopattr.cli import main
 from coopattr.config import (
     ExperimentConfig,
     load_experiment_config,
+    loop_config,
     noise_sweep_config,
     parse_flat_config,
+    world_config,
 )
 
 
@@ -180,3 +184,76 @@ def test_noise_sweep_config_levels_span_good_to_bad():
     assert len(sweep.levels) == 4
     assert sweep.levels[0] < sweep.levels[-1]
     assert sweep.levels[-1] == pytest.approx(sweep.study.bad_noise_std)
+
+
+# SHA-256 of noise_results.csv for a 2-level, 3-seed sweep at noise seed 0,
+# the same sweep as run_noise_study(default_noise_sweep(n_levels=2,
+# n_seeds=3, rng_seed=0)); recorded before the noise-study settings that no
+# caller set were removed.
+GOLDEN_NOISE_RESULTS = "d445de55c50dd1b39b4c55e4ae3092c7332dd1af80c8505b24716f2ae0d7cd1d"
+
+
+def test_sweep_noise_matches_golden_digest(tmp_path):
+    config = tmp_path / "cfg.txt"
+    config.write_text("noise_levels = 2\nnoise_seeds = 3\nnoise_rng_seed = 0\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep-noise", "--config", str(config), "--out", str(out)]) == 0
+    text = (out / "noise_results.csv").read_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_NOISE_RESULTS
+
+
+# One other valid value per ExperimentConfig key.
+_OTHER_VALUES = {
+    "n_categories": 8,
+    "n_attributes": 8,
+    "seeds_per_category": 4,
+    "unlabeled_per_category": 20,
+    "test_per_category": 10,
+    "n_distractors": 100,
+    "feature_dim_a": 8,
+    "feature_dim_b": 8,
+    "feature_noise_std_a": 0.3,
+    "feature_noise_std_b": 0.3,
+    "attribute_flip_rate": 0.1,
+    "world_matrix_low": 0.2,
+    "world_matrix_high": 0.8,
+    "transfers_per_category": 3,
+    "prunes_per_category": 4,
+    "prune_every": 0,
+    "l2": 1e-2,
+    "learning_rate": 0.25,
+    "max_iters": 100,
+    "noise_levels": 3,
+    "good_accuracy_target": 0.9,
+    "bad_accuracy_target": 0.6,
+    "noise_labeled_count": 40,
+    "noise_test_count": 100,
+    "noise_seeds": 5,
+    "noise_rng_seed": 1,
+}
+
+
+def _built(cfg):
+    """What a run builds from the config, in comparable form."""
+    world = world_config(cfg, seed=0)
+    sweep = noise_sweep_config(cfg)
+    return (
+        {f.name: getattr(world, f.name) for f in fields(world) if f.name != "ground_truth_matrix"},
+        world.ground_truth_matrix.tobytes(),
+        loop_config(cfg),
+        vars(sweep.study),
+        sweep.levels,
+        sweep.n_seeds,
+    )
+
+
+@pytest.fixture(scope="module")
+def default_built():
+    return _built(ExperimentConfig())
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig)])
+def test_every_config_key_changes_what_a_run_builds(key, default_built):
+    value = _OTHER_VALUES[key]
+    assert value != getattr(ExperimentConfig(), key)
+    assert _built(replace(ExperimentConfig(), **{key: value})) != default_built

@@ -342,6 +342,21 @@ def test_noise_study_margins_positive_then_compressed():
     assert highest.margin < lowest.margin
 
 
+@pytest.mark.parametrize("level", [float("nan"), float("inf"), -0.5])
+def test_noise_sweep_config_rejects_bad_level(level):
+    from coopattr import NoiseStudyConfig, NoiseSweepConfig
+
+    with pytest.raises(ConfigurationError):
+        NoiseSweepConfig(study=NoiseStudyConfig(), levels=(0.5, level), n_seeds=1)
+
+
+def test_default_noise_sweep_rejects_negative_seed():
+    from coopattr import default_noise_sweep
+
+    with pytest.raises(ConfigurationError):
+        default_noise_sweep(rng_seed=-1)
+
+
 def test_thread_env_does_not_change_results(small_world, monkeypatch):
     base = run_experiment(LearnerVariant.COOPERATIVE_UNIFORM, small_world, 4, _FAST)
     monkeypatch.setenv("COOPATTR_THREADS", "2")

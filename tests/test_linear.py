@@ -26,7 +26,7 @@ def _train_one(positives, negatives, config=None) -> AttributeModelBank:
     """One presence classifier fit on explicit positive and negative rows."""
     features = np.vstack([np.asarray(positives, float), np.asarray(negatives, float)])
     labels = np.r_[np.ones(len(positives), int), np.zeros(len(negatives), int)]
-    return train_attribute_bank(features, labels[:, None], config, constant_fallback=False)
+    return train_attribute_bank(features, labels[:, None], config)
 
 
 def _probs(bank, points) -> np.ndarray:
@@ -55,13 +55,6 @@ def test_identical_positive_and_negative_point_predicts_half():
 def test_one_dim_sign_forced_by_data():
     bank = _train_one([[1.0]], [[-1.0]])
     assert bank.classifiers[0].weights[0] > 0
-
-
-def test_train_binary_rejects_empty_class():
-    with pytest.raises(TrainingError):
-        _train_one(np.empty((0, 1)), [[1.0]])
-    with pytest.raises(TrainingError):
-        _train_one([[1.0]], np.empty((0, 1)))
 
 
 def test_train_binary_rejects_non_finite():
@@ -220,8 +213,6 @@ def test_train_attribute_bank_constant_fallback():
     attributes = np.array([[1, 1], [1, 0], [1, 1]])
     bank = train_attribute_bank(features, attributes)
     assert _probs(bank, [1.5])[0] == pytest.approx(1 - 1e-6)
-    with pytest.raises(TrainingError):
-        train_attribute_bank(features, attributes, constant_fallback=False)
 
 
 def test_attribute_accuracy_arrays_matches_example_path():

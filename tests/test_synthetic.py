@@ -16,7 +16,6 @@ from coopattr import (
     contrast_ground_truth_matrix,
     estimate_matrix_from_labels,
     generate_noise_dataset,
-    generate_noise_study,
     generate_world,
     good_attribute_sets,
     new_pool_state,
@@ -171,25 +170,37 @@ def test_good_attribute_sets_partition():
     first, second = good_attribute_sets(cfg)
     assert first | second == set(range(6))
     assert first.isdisjoint(second)
-    custom = NoiseStudyConfig(n_attributes=4, agent0_good_attributes=(0, 3))
-    assert good_attribute_sets(custom) == (frozenset({0, 3}), frozenset({1, 2}))
+    assert good_attribute_sets(NoiseStudyConfig(n_attributes=5)) == (
+        frozenset({0, 1, 2}), frozenset({3, 4})
+    )
 
 
-def test_generate_noise_study_zero_noise_equals_clamped_truth():
-    cfg = NoiseStudyConfig(n_categories=2, n_attributes=4, labeled_count=4, test_count=4,
+def test_noise_dataset_zero_noise_predictions_equal_clamped_truth():
+    cfg = NoiseStudyConfig(n_categories=2, n_attributes=4, labeled_count=4, test_count=6,
                            good_noise_std=0.0, bad_noise_std=0.0)
-    annotations = np.array([[0, 1, 1, 0], [1, 1, 0, 0]], dtype=np.int8)
-    preds = generate_noise_study(cfg, annotations)
-    assert preds.shape == (2, 2, 4)
-    assert np.allclose(preds, np.clip(annotations, 1e-6, 1 - 1e-6))
+    data = generate_noise_dataset(cfg)
+    assert data.test_predictions.shape == (2, 6, 4)
+    clamped = np.clip(data.test_attributes, 1e-6, 1 - 1e-6)
+    assert np.allclose(data.test_predictions, clamped[None])
 
 
-def test_generate_noise_study_outputs_strictly_interior():
-    cfg = NoiseStudyConfig(n_categories=2, n_attributes=3, labeled_count=4, test_count=4,
+def test_noise_dataset_predictions_strictly_interior():
+    cfg = NoiseStudyConfig(n_categories=2, n_attributes=3, labeled_count=4, test_count=50,
                            good_noise_std=5.0, bad_noise_std=5.0)
-    annotations = (np.random.default_rng(0).random((50, 3)) < 0.5).astype(np.int8)
-    preds = generate_noise_study(cfg, annotations)
+    preds = generate_noise_dataset(cfg).test_predictions
     assert preds.min() > 0.0 and preds.max() < 1.0
+
+
+@pytest.mark.parametrize("field", ["good_noise_std", "bad_noise_std"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+def test_noise_study_config_rejects_bad_noise_level(field, value):
+    with pytest.raises(ConfigurationError):
+        NoiseStudyConfig(**{field: value})
+
+
+def test_calibrate_noise_std_rejects_negative_seed():
+    with pytest.raises(ConfigurationError):
+        calibrate_noise_std(0.9, rng_seed=-1)
 
 
 def test_calibration_hits_target_bands():
