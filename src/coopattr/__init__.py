@@ -37,7 +37,6 @@ from .harness import (
 from .linear import (
     AttributeModelBank,
     CategoryModelBank,
-    LinearClassifier,
     TrainConfig,
     train_attribute_bank,
     train_banks,

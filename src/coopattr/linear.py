@@ -1,15 +1,15 @@
-"""Calibrated binary linear classifiers and the per-agent model banks.
+"""The per-agent model banks of calibrated binary linear classifiers.
 
-The same classifier is used for the N one-vs-rest category models and the M
-attribute models. Training minimizes L2-regularized logistic loss with
-deterministic full-batch gradient descent (zero initialization), so identical
-inputs and config always produce bit-identical weights.
+A bank holds its N one-vs-rest category or M attribute models as one weight
+matrix and one bias vector. Training minimizes L2-regularized logistic loss
+with deterministic full-batch gradient descent (zero initialization), so
+identical inputs and config always produce bit-identical weights.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -95,60 +95,55 @@ def _feature_matrix(vectors, label: str) -> np.ndarray:
     return arr
 
 
+_Column = NamedTuple("_Column", [("weights", np.ndarray), ("bias", float)])
+
+
 @dataclass(frozen=True, eq=False)
-class LinearClassifier:
-    """A linear score with a sigmoid link, clamped away from 0 and 1."""
+class _LinearBank:
+    """k linear scores with a sigmoid link, clamped away from 0 and 1: column
+    j of ``weights`` (dim, k) and ``bias[j]`` score classifier j. Both arrays
+    are read-only C-contiguous copies, the layout every fit returns."""
 
     weights: np.ndarray
-    bias: float
+    bias: np.ndarray
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=float).copy()
-        weights.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "bias", float(self.bias))
+        weights = np.array(self.weights, dtype=float, order="C")
+        bias = np.array(self.bias, dtype=float)
+        if weights.ndim != 2 or bias.shape != weights.shape[1:]:
+            raise ConfigurationError("a bank needs (dim, k) weights and k biases")
+        for name, value in (("weights", weights), ("bias", bias)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
-def _constant_classifier(dim: int, rate: float) -> LinearClassifier:
-    p = float(_clamp(rate))
-    return LinearClassifier(np.zeros(dim), math.log(p / (1.0 - p)))
+    @property
+    def classifiers(self) -> tuple[_Column, ...]:
+        """One (weights, bias) pair per column; only the benchmark tracer reads it."""
+        return tuple(_Column(self.weights[:, j], float(b)) for j, b in enumerate(self.bias))
+
+    def _probs(self, features) -> np.ndarray:
+        if not self.bias.size:
+            raise StateError(f"{type(self).__name__} has not been trained")
+        features = np.asarray(features, dtype=float)
+        if features.ndim != 2 or features.shape[1] != self.weights.shape[0]:
+            raise ConfigurationError("feature matrix does not match classifier dimension")
+        return _clamp(_sigmoid(features @ self.weights + self.bias))
 
 
-def _stacked(classifiers):
-    weights = np.stack([c.weights for c in classifiers], axis=1)
-    bias = np.array([c.bias for c in classifiers])
-    return weights, bias
-
-
-@dataclass(frozen=True)
-class CategoryModelBank:
+class CategoryModelBank(_LinearBank):
     """One one-vs-rest classifier per category; outputs a normalized posterior."""
 
-    classifiers: tuple[LinearClassifier, ...]
-
     def posterior_batch(self, features: np.ndarray) -> np.ndarray:
-        if not self.classifiers:
-            raise StateError("category bank has not been trained")
-        weights, bias = _stacked(self.classifiers)
-        features = np.asarray(features, dtype=float)
-        if features.ndim != 2 or features.shape[1] != weights.shape[0]:
-            raise ConfigurationError("feature matrix does not match classifier dimension")
-        raw = _clamp(_sigmoid(features @ weights + bias))
+        raw = self._probs(features)
         return raw / raw.sum(axis=1, keepdims=True)
 
-@dataclass(frozen=True)
-class AttributeModelBank:
+
+class AttributeModelBank(_LinearBank):
     """One independent presence classifier per attribute; no cross-attribute normalization."""
 
-    classifiers: tuple[LinearClassifier, ...]
-
     def probs_batch(self, features: np.ndarray) -> np.ndarray:
-        if not self.classifiers:
-            raise StateError("attribute bank has not been trained")
-        weights, bias = _stacked(self.classifiers)
-        features = np.asarray(features, dtype=float)
-        if features.ndim != 2 or features.shape[1] != weights.shape[0]:
-            raise ConfigurationError("feature matrix does not match classifier dimension")
-        return _clamp(_sigmoid(features @ weights + bias))
+        return self._probs(features)
+
 
 def _category_targets(features, categories, n_categories: int):
     """Checked features and one-hot one-vs-rest targets, one column per category."""
@@ -158,9 +153,9 @@ def _category_targets(features, categories, n_categories: int):
     categories = np.asarray(categories, dtype=int)
     if categories.shape != (features.shape[0],):
         raise ConfigurationError("one category label per feature row required")
-    present = np.bincount(categories, minlength=n_categories)
     if categories.min() < 0 or categories.max() >= n_categories:
         raise ConfigurationError("category labels out of range")
+    present = np.bincount(categories, minlength=n_categories)
     if (present == 0).any():
         empty = int(np.flatnonzero(present == 0)[0])
         raise TrainingError(f"category {empty} has no labeled examples")
@@ -181,10 +176,7 @@ def train_category_bank(
     """
     config = config or TrainConfig()
     features, targets = _category_targets(features, categories, n_categories)
-    weights, bias = _fit(features, targets, config)
-    return CategoryModelBank(
-        tuple(LinearClassifier(weights[:, i], float(bias[i])) for i in range(n_categories))
-    )
+    return CategoryModelBank(*_fit(features, targets, config))
 
 
 def train_attribute_bank(
@@ -206,18 +198,13 @@ def train_attribute_bank(
     if not np.isin(attributes, (0, 1)).all():
         raise ConfigurationError("attribute labels must be binary")
     targets = attributes.astype(float)
-    n_attributes = targets.shape[1]
     rates = targets.mean(axis=0)
     mixed = np.flatnonzero((rates > 0.0) & (rates < 1.0))
-    classifiers: list[LinearClassifier | None] = [None] * n_attributes
+    weights = np.zeros((features.shape[1], targets.shape[1]))
+    bias = np.array([math.log(p / (1.0 - p)) for p in _clamp(rates).tolist()])
     if mixed.size:
-        weights, bias = _fit(features, targets[:, mixed], config)
-        for col, j in enumerate(mixed):
-            classifiers[j] = LinearClassifier(weights[:, col], float(bias[col]))
-    for j in range(n_attributes):
-        if classifiers[j] is None:
-            classifiers[j] = _constant_classifier(features.shape[1], float(rates[j]))
-    return AttributeModelBank(tuple(classifiers))
+        weights[:, mixed], bias[mixed] = _fit(features, targets[:, mixed], config)
+    return AttributeModelBank(weights, bias)
 
 
 def train_banks(
@@ -241,10 +228,10 @@ def train_banks(
     if attributes.ndim != 2 or attributes.shape[0] != features.shape[0]:
         raise ConfigurationError("one attribute row per feature row required")
     stacked = np.hstack([targets, attributes.astype(float)])
-    classifiers = train_attribute_bank(features, stacked, config).classifiers
+    bank = train_attribute_bank(features, stacked, config)
     return (
-        CategoryModelBank(classifiers[:n_categories]),
-        AttributeModelBank(classifiers[n_categories:]),
+        CategoryModelBank(bank.weights[:, :n_categories], bank.bias[:n_categories]),
+        AttributeModelBank(bank.weights[:, n_categories:], bank.bias[n_categories:]),
     )
 
 

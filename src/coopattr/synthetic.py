@@ -269,6 +269,8 @@ class NoiseStudyConfig:
     def __post_init__(self):
         check_noise_std(self.good_noise_std)
         check_noise_std(self.bad_noise_std)
+        if self.n_categories < 2 or self.n_attributes < 2:
+            raise ConfigurationError("a noise study needs two categories and two attributes")
         if self.labeled_count < self.n_categories or self.test_count < self.n_categories:
             raise ConfigurationError("need at least one labeled and test example per category")
         if self.rng_seed < 0:

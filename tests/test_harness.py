@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+from pathlib import Path
 from statistics import fmean
 
 import numpy as np
@@ -484,3 +486,23 @@ def test_run_experiment_never_builds_the_examples_view():
     assert list(view) == domain.ids.tolist()
     assert [r.true_category for r in view.values()] == domain.true_category.tolist()
     assert all(view[i].id == i for i in view)
+
+
+def test_benchmark_tracer_finds_every_wrapped_name(small_world):
+    # The benchmark's traced run wraps library names from outside; a renamed
+    # one would only read zero there, so its contract is checked here.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+        with tracer.op(0):
+            run_experiment(LearnerVariant.COOPERATIVE_WEIGHTED, small_world, 2)
+        fits, rows, _ = tracer.fit_stats(TrainConfig())
+        assert fits > 0 and rows > 0
+        assert tracer.counts["linear.predict_calls"] > 0
+    finally:
+        tracer.restore()

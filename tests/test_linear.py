@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from coopattr import (
     ConfigurationError,
-    LinearClassifier,
     StateError,
     TrainConfig,
     TrainingError,
@@ -16,7 +18,6 @@ from coopattr.linear import (
     AttributeModelBank,
     CategoryModelBank,
     _sigmoid,
-    _stacked,
     attribute_accuracy_arrays,
     train_banks,
 )
@@ -54,7 +55,7 @@ def test_identical_positive_and_negative_point_predicts_half():
 
 def test_one_dim_sign_forced_by_data():
     bank = _train_one([[1.0]], [[-1.0]])
-    assert bank.classifiers[0].weights[0] > 0
+    assert bank.weights[0, 0] > 0
 
 
 def test_train_binary_rejects_non_finite():
@@ -63,7 +64,8 @@ def test_train_binary_rejects_non_finite():
 
 
 def _bank(kind, weights, biases):
-    return kind(tuple(LinearClassifier(np.asarray(w, float), b) for w, b in zip(weights, biases)))
+    """A bank whose column j holds ``weights[j]`` and ``biases[j]``."""
+    return kind(np.column_stack([np.asarray(w, float) for w in weights]), biases)
 
 
 def test_predict_prob_zero_score_is_half():
@@ -128,9 +130,31 @@ def test_category_posterior_sums_to_one_and_interior():
 
 def test_untrained_banks_raise_state_error():
     with pytest.raises(StateError):
-        CategoryModelBank(()).posterior_batch(np.ones((1, 1)))
+        CategoryModelBank(np.zeros((1, 0)), np.zeros(0)).posterior_batch(np.ones((1, 1)))
     with pytest.raises(StateError):
-        AttributeModelBank(()).probs_batch(np.ones((1, 1)))
+        AttributeModelBank(np.zeros((1, 0)), np.zeros(0)).probs_batch(np.ones((1, 1)))
+
+
+def test_bank_holds_read_only_weight_matrix_and_bias():
+    with pytest.raises(ConfigurationError):
+        AttributeModelBank(np.zeros(3), np.zeros(1))
+    with pytest.raises(ConfigurationError):
+        AttributeModelBank(np.zeros((3, 2)), np.zeros(3))
+    features = np.array([[1.0], [2.0], [3.0]])
+    bank = train_attribute_bank(features, np.array([[1, 1], [0, 1], [1, 1]]))
+    assert [f.name for f in fields(bank)] == ["weights", "bias"]
+    assert bank.weights.shape == (1, 2) and bank.bias.shape == (2,)
+    for array in (bank.weights, bank.bias):
+        assert not array.flags.writeable and array.flags.c_contiguous
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    # Column 1 is all ones: zero weights and the logit of the clamped rate.
+    p = 1.0 - 1e-6
+    assert np.array_equal(bank.weights[:, 1], [0.0])
+    assert bank.bias[1] == math.log(p / (1.0 - p))
+    for j, column in enumerate(bank.classifiers):
+        assert np.array_equal(column.weights, bank.weights[:, j])
+        assert column.bias == bank.bias[j]
 
 
 def test_attribute_probs_all_zero_classifiers():
@@ -177,9 +201,9 @@ def test_training_is_bit_deterministic():
     rng = np.random.default_rng(5)
     pos = rng.normal(size=(8, 3)) + 1
     neg = rng.normal(size=(9, 3)) - 1
-    a = _train_one(pos, neg).classifiers[0]
-    b = _train_one(pos, neg).classifiers[0]
-    assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
+    a = _train_one(pos, neg)
+    b = _train_one(pos, neg)
+    assert np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
 
 
 def test_duplicated_training_set_keeps_sign_pattern():
@@ -265,9 +289,18 @@ def test_train_banks_matches_separate_banks():
         (attribute_bank, train_attribute_bank(features, attributes, cfg)),
     ]
     for fused, separate in pairs:
-        for got, want in zip(_stacked(fused.classifiers), _stacked(separate.classifiers)):
-            assert np.array_equal(got, want)
+        assert np.array_equal(fused.weights, separate.weights)
+        assert np.array_equal(fused.bias, separate.bias)
     assert attribute_bank.probs_batch(np.zeros((1, 4)))[0, 1] == pytest.approx(1 - 1e-6)
+
+
+def test_negative_category_label_is_out_of_range():
+    features, categories = np.ones((3, 2)), [0, 1, -1]
+    with pytest.raises(ConfigurationError, match="out of range") as separate:
+        train_category_bank(features, categories, 2)
+    with pytest.raises(ConfigurationError, match="out of range") as fused:
+        train_banks(features, categories, np.zeros((3, 1)), 2)
+    assert type(separate.value) is type(fused.value) is ConfigurationError
 
 
 def test_train_banks_rejects_missing_category():

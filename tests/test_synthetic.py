@@ -191,9 +191,17 @@ def test_noise_dataset_predictions_strictly_interior():
     assert preds.min() > 0.0 and preds.max() < 1.0
 
 
-@pytest.mark.parametrize("field", ["good_noise_std", "bad_noise_std"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
-def test_noise_study_config_rejects_bad_noise_level(field, value):
+@pytest.mark.parametrize(
+    "value, field",
+    [
+        (v, f)
+        for v in (float("nan"), float("inf"), -0.5)
+        for f in ("good_noise_std", "bad_noise_std")
+    ]
+    # Below two categories or attributes an agent has no reliable attribute.
+    + [(1, "n_categories"), (0, "n_categories"), (1, "n_attributes"), (0, "n_attributes")],
+)
+def test_noise_study_config_rejects_bad_noise_level(value, field):
     with pytest.raises(ConfigurationError):
         NoiseStudyConfig(**{field: value})
 
