@@ -55,7 +55,6 @@ from .pool import (
     CategoryPosterior,
     PoolState,
     move_to_labeled,
-    new_pool_state,
     prune_from_labeled,
 )
 from .synthetic import (

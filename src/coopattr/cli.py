@@ -128,19 +128,23 @@ def _cmd_report(args) -> int:
         if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
             raise SystemExit(f"unexpected columns in {records_path}: {reader.fieldnames}")
         rows = list(reader)
+    try:
+        points = [
+            (int(row["agent"]), float(row["iteration"]), float(row["accuracy"]),
+             float(row["purity"]))
+            for row in rows
+        ]
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"bad value in {records_path}: {exc}")
+    if not points:
+        raise SystemExit(f"no records in {records_path}")
     (run_dir / "report.csv").write_text(records_path.read_text())
-    agents = sorted({row["agent"] for row in rows}, key=int)
-    for metric in ("accuracy", "purity"):
+    agents = sorted({point[0] for point in points})
+    for column, metric in ((2, "accuracy"), (3, "purity")):
         series = []
         for agent in agents:
-            mine = [row for row in rows if row["agent"] == agent]
-            series.append(
-                (
-                    f"agent {agent}",
-                    [float(row["iteration"]) for row in mine],
-                    [float(row[metric]) for row in mine],
-                )
-            )
+            mine = [point for point in points if point[0] == agent]
+            series.append((f"agent {agent}", [p[1] for p in mine], [p[column] for p in mine]))
         chart = _svg_line_chart(f"{metric} vs iteration", series)
         (run_dir / f"{metric}.svg").write_text(chart)
     print(f"wrote {run_dir / 'report.csv'}, accuracy.svg, purity.svg")

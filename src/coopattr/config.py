@@ -93,7 +93,11 @@ def parse_flat_config(text: str) -> dict[str, str]:
 def load_experiment_config(path: str | Path | None) -> ExperimentConfig:
     if path is None:
         return ExperimentConfig()
-    raw = parse_flat_config(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}") from exc
+    raw = parse_flat_config(text)
     known = {f.name: f.type for f in fields(ExperimentConfig)}
     kwargs = {}
     for key, value in raw.items():

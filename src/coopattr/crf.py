@@ -63,9 +63,9 @@ def estimate_matrix_from_labels(
 
 
 def _conditioned(matrix, attr_probs, n_categories):
-    values = matrix.values if isinstance(matrix, AttributeCategoryMatrix) else np.asarray(matrix, float)
-    if values.ndim != 2:
-        raise ConfigurationError("matrix must be 2-D")
+    if not isinstance(matrix, AttributeCategoryMatrix):
+        matrix = AttributeCategoryMatrix(matrix)
+    values = matrix.values
     if values.shape[1] != n_categories:
         raise ConfigurationError(
             f"matrix has {values.shape[1]} categories, expected {n_categories}"
@@ -75,7 +75,7 @@ def _conditioned(matrix, attr_probs, n_categories):
         raise ConfigurationError(
             f"got {probs.shape[-1]} attribute probabilities for {values.shape[0]} attributes"
         )
-    if probs.size and (probs.min() <= 0.0 or probs.max() >= 1.0):
+    if not ((probs > 0.0) & (probs < 1.0)).all():
         raise ConfigurationError("attribute probabilities must lie strictly inside (0, 1)")
     return np.clip(values, MATRIX_CLAMP, 1.0 - MATRIX_CLAMP), probs
 

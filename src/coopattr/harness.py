@@ -201,14 +201,10 @@ def _advance_agent(run, t: int, cfg: LoopConfig, aware: bool, n_categories: int)
         chosen = select_transfers(
             run.pool.ids[unlabeled], posteriors, cfg.transfers_per_category
         )
-        run.pool = move_to_labeled(
-            run.pool,
-            [
-                (ex_id, category, derive_attribute_labels(run.matrix, category) if aware else ())
-                for ex_id, category in chosen
-            ],
-        )
-        transfers = len(chosen)
+        ids, categories = np.array(chosen, dtype=np.int64).reshape(-1, 2).T
+        bits = derive_attribute_labels(run.matrix, categories) if aware else 0
+        run.pool = move_to_labeled(run.pool, ids, categories, bits)
+        transfers = ids.size
     prunes = 0
     if cfg.prune_every > 0 and t % cfg.prune_every == 0:
         pool = run.pool

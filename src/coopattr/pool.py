@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -68,16 +68,17 @@ class CategoryPosterior:
 class AttributeCategoryMatrix:
     """M x N table where entry (j, i) is the presence rate of attribute j in category i.
 
-    This is the only payload agents exchange with each other.
+    This is the only payload agents exchange with each other. M may be 0: a
+    table without attributes carries no evidence about the category.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2 or values.size == 0:
-            raise ConfigurationError("matrix must be a non-empty 2-D array")
-        if not np.all(np.isfinite(values)) or values.min() < 0.0 or values.max() > 1.0:
+        if values.ndim != 2 or values.shape[1] == 0:
+            raise ConfigurationError("matrix must be a 2-D array with at least one category")
+        if not ((values >= 0.0) & (values <= 1.0)).all():
             raise ConfigurationError("matrix entries must lie in [0, 1]")
         values = values.copy()
         values.setflags(write=False)
@@ -90,12 +91,6 @@ class AttributeCategoryMatrix:
     @property
     def n_categories(self) -> int:
         return self.values.shape[1]
-
-    def column(self, category: int) -> np.ndarray:
-        """Attribute presence rates for one category."""
-        if not 0 <= category < self.n_categories:
-            raise ConfigurationError(f"category {category} out of range")
-        return self.values[:, category]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AttributeCategoryMatrix) and np.array_equal(
@@ -116,10 +111,10 @@ class PoolState:
     marks the initially labeled rows; they are protected from pruning so
     human-verified ground truth is never lost.
 
-    The arrays are read-only; operations return new states. ``labeled``,
-    ``unlabeled``, ``test``, ``seed_ids`` and ``assignments`` are read-only
-    views for callers that want id sets, derived on first access and then
-    kept; the library itself reads the arrays.
+    The arrays are read-only; operations return new states. ``labeled`` and
+    ``assignments`` are read-only id-keyed views, derived on first access and
+    then kept, for callers outside the library that compare against
+    ground truth by id; the library itself reads the arrays.
     """
 
     ids: np.ndarray
@@ -147,25 +142,9 @@ class PoolState:
         if ((category != UNASSIGNED) & ~labeled).any():
             raise ConfigurationError("assignments may only cover labeled examples")
 
-    @property
-    def size(self) -> int:
-        return self.ids.size
-
     @cached_property
     def labeled(self) -> frozenset[int]:
         return frozenset(self.ids[self.split == LABELED].tolist())
-
-    @cached_property
-    def unlabeled(self) -> frozenset[int]:
-        return frozenset(self.ids[self.split == UNLABELED].tolist())
-
-    @cached_property
-    def test(self) -> frozenset[int]:
-        return frozenset(self.ids[self.split == TEST].tolist())
-
-    @cached_property
-    def seed_ids(self) -> frozenset[int]:
-        return frozenset(self.ids[self.seed].tolist())
 
     @cached_property
     def assignments(self) -> Mapping[int, Assignment]:
@@ -192,86 +171,40 @@ def _rows(ids: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, ids[rows] == wanted
 
 
-def _checked_labels(
-    labels: Sequence[tuple[int, Sequence[int]]], width: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Checked categories and ``(len(labels), width)`` int8 attribute bits.
-
-    An empty bits row records no attribute labels (a learner without an
-    attribute view) and stays 0. A width of 0 means no row has bits yet; it
-    widens to the longest row given.
-    """
-    categories = np.array([category for category, _ in labels], dtype=np.int64)
-    if (categories < 0).any():
-        raise ConfigurationError("assigned categories must be non-negative")
-    width = width or max((len(bits) for _, bits in labels), default=0)
-    out = np.zeros((len(labels), width), dtype=np.int64)
-    for k, (_, bits) in enumerate(labels):
-        if len(bits) == 0:
-            continue
-        if len(bits) != width:
-            raise ConfigurationError(f"attribute labels need {width} bits, got {len(bits)}")
-        out[k] = bits
-    if ((out != 0) & (out != 1)).any():
-        raise ConfigurationError("attribute labels must be binary")
-    return categories, out.astype(np.int8)
-
-
-def new_pool_state(
-    labeled_ids: Iterable[int],
-    unlabeled_ids: Iterable[int],
-    test_ids: Iterable[int],
-    assignments: Mapping[int, tuple[int, Sequence[int]]] | None = None,
-) -> PoolState:
-    """Build the initial pool; the initially labeled ids become protected seeds."""
-    splits = [_id_array(ids) for ids in (labeled_ids, unlabeled_ids, test_ids)]
-    ids = np.concatenate(splits)
-    order = np.argsort(ids, kind="stable")
-    ids = ids[order]
-    if (np.diff(ids) == 0).any():
-        raise ConfigurationError("labeled, unlabeled, and test sets must be disjoint")
-    codes = np.array([LABELED, UNLABELED, TEST], dtype=np.int8)
-    split = np.repeat(codes, [s.size for s in splits])[order]
-    fixed = {int(k): (int(c), bits) for k, (c, bits) in (assignments or {}).items()}
-    rows, found = _rows(ids, np.fromiter(fixed, dtype=np.int64, count=len(fixed)))
-    if not found.all():
-        raise ConfigurationError("assignments may only cover labeled examples")
-    categories, labels = _checked_labels(list(fixed.values()), 0)
-    category = np.full(ids.size, UNASSIGNED, dtype=np.int64)
-    bits = np.zeros((ids.size, labels.shape[1]), dtype=np.int8)
-    category[rows], bits[rows] = categories, labels
-    return PoolState(ids, split, category, bits, split == LABELED)
-
-
-def move_to_labeled(
-    pool: PoolState, moves: Iterable[tuple[int, int, Sequence[int]]]
-) -> PoolState:
+def move_to_labeled(pool: PoolState, ids, categories, bits) -> PoolState:
     """Move unlabeled examples into the labeled pool with their predicted labels.
 
-    ``moves`` holds (example_id, category, attribute bits) triples; the whole
-    batch becomes one new state. An empty batch returns ``pool`` itself.
+    Example ``ids[k]`` gets category ``categories[k]`` and attribute bits
+    ``bits[k]``; ``bits`` broadcasts to ``(len(ids), pool width)``, so 0
+    records no attribute labels. The whole batch becomes one new state. An
+    empty batch returns ``pool`` itself.
     """
-    moves = [(int(ex_id), int(category), bits) for ex_id, category, bits in moves]
-    if not moves:
+    ids = np.asarray(ids, dtype=np.int64)
+    categories = np.asarray(categories, dtype=np.int64)
+    if ids.ndim != 1 or categories.shape != ids.shape:
+        raise ConfigurationError("need one category per moved id")
+    if not ids.size:
         return pool
-    ids = np.array([ex_id for ex_id, _, _ in moves], dtype=np.int64)
     rows, found = _rows(pool.ids, ids)
     open_rows = found & (pool.split[rows] == UNLABELED)
     if not open_rows.all():
         raise StateError(f"example {ids[~open_rows][0]} is not in the unlabeled set")
-    unique, counts = np.unique(ids, return_counts=True)
-    if (counts > 1).any():
-        raise StateError(f"example {unique[counts > 1][0]} is moved twice in one batch")
-    categories, labels = _checked_labels(
-        [(category, bits) for _, category, bits in moves], pool.bits.shape[1]
-    )
-    if labels.shape[1] == pool.bits.shape[1]:
-        bits = pool.bits.copy()
-    else:
-        bits = np.zeros((pool.size, labels.shape[1]), dtype=np.int8)
-    split, category = pool.split.copy(), pool.category.copy()
-    split[rows], category[rows], bits[rows] = LABELED, categories, labels
-    return PoolState(pool.ids, split, category, bits, pool.seed)
+    if _id_array(ids).size < ids.size:
+        raise StateError(f"an example is moved twice in one batch: {ids.tolist()}")
+    if (categories < 0).any():
+        raise ConfigurationError("assigned categories must be non-negative")
+    width, bits = pool.bits.shape[1], np.asarray(bits)
+    if bits.ndim and bits.shape[-1] != width:
+        raise ConfigurationError(f"attribute labels need {width} bits, got {bits.shape[-1]}")
+    try:
+        labels = np.broadcast_to(bits, (ids.size, width))
+    except ValueError:
+        raise ConfigurationError(f"need one bit row per moved id, got {bits.shape}") from None
+    if ((labels != 0) & (labels != 1)).any():
+        raise ConfigurationError("attribute labels must be binary")
+    split, category, new_bits = pool.split.copy(), pool.category.copy(), pool.bits.copy()
+    split[rows], category[rows], new_bits[rows] = LABELED, categories, labels
+    return PoolState(pool.ids, split, category, new_bits, pool.seed)
 
 
 def prune_from_labeled(pool: PoolState, example_ids: Iterable[int]) -> PoolState:

@@ -71,13 +71,16 @@ def select_transfers(ids, posteriors, per_category_count: int) -> list[tuple[int
     return list(zip(ids[keep].tolist(), categories[keep].tolist()))
 
 
-def derive_attribute_labels(matrix: AttributeCategoryMatrix, category: int) -> np.ndarray:
-    """Binary attribute labels for a transferred example: 1 iff the rate exceeds 0.5.
+def derive_attribute_labels(matrix: AttributeCategoryMatrix, categories) -> np.ndarray:
+    """One int8 row of attribute labels per category: 1 iff the rate exceeds 0.5.
 
-    The threshold is strict, so a rate of exactly 0.5 yields 0.
+    A scalar category gives a single row. The threshold is strict, so a rate
+    of exactly 0.5 yields 0.
     """
-    column = matrix.column(category)
-    return (column > 0.5).astype(np.int8)
+    categories = np.asarray(categories, dtype=np.int64)
+    if categories.size and not 0 <= categories.min() <= categories.max() < matrix.n_categories:
+        raise ConfigurationError(f"category out of range for {matrix.n_categories} categories")
+    return (matrix.values[:, categories].T > 0.5).astype(np.int8)
 
 
 def select_prunes(

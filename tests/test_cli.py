@@ -16,6 +16,7 @@ from coopattr.config import (
     parse_flat_config,
     world_config,
 )
+from coopattr.harness import CSV_COLUMNS
 
 
 def test_parse_flat_config_basics():
@@ -152,6 +153,31 @@ def test_report_emits_csv_and_charts(small_run_dir):
 def test_report_requires_records(tmp_path):
     with pytest.raises(SystemExit):
         main(["report", "--in", str(tmp_path)])
+
+
+def test_report_rejects_records_without_rows(tmp_path):
+    (tmp_path / "records.csv").write_text(",".join(CSV_COLUMNS) + "\n")
+    with pytest.raises(SystemExit, match="no records in .*records.csv"):
+        main(["report", "--in", str(tmp_path)])
+    assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("row", ["1,0,high,1.0,,2,0", "1,x,0.5,1.0,,2,0", "1,0,0.5"])
+def test_report_rejects_malformed_row(tmp_path, row):
+    (tmp_path / "records.csv").write_text(",".join(CSV_COLUMNS) + "\n" + row + "\n")
+    with pytest.raises(SystemExit, match="bad value in .*records.csv"):
+        main(["report", "--in", str(tmp_path)])
+    assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["run", "--variant", "ssl_ind", "--iterations", "1"], ["sweep-noise"]]
+)
+def test_missing_config_file_is_an_error_message(tmp_path, argv):
+    missing = tmp_path / "absent.cfg"
+    with pytest.raises(SystemExit, match=f"^error: cannot read config file {missing}"):
+        main(argv + ["--config", str(missing), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_variant_exits():

@@ -106,6 +106,19 @@ def test_attribute_probs_must_be_strictly_interior():
         crf_posterior(matrix, [1.0], 2)
     with pytest.raises(ConfigurationError):
         crf_posterior(matrix, [0.0], 2)
+    with pytest.raises(ConfigurationError):
+        crf_posterior_batch(AttributeCategoryMatrix([[0.2, 0.8], [0.6, 0.4]]),
+                            np.array([[np.nan, 0.5]]), 2)
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.5, np.nan, np.inf])
+def test_raw_matrix_entries_are_checked(bad):
+    rates = np.array([[0.2, bad], [0.6, 0.4]])
+    for posterior in (crf_posterior, brute_force_posterior):
+        with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
+            posterior(rates, [0.3, 0.7], 2)
+    with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
+        crf_posterior_batch(rates, np.array([[0.3, 0.7]]), 2)
 
 
 @settings(max_examples=60, deadline=None)

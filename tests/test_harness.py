@@ -16,18 +16,21 @@ from coopattr import (
     ConfigurationError,
     LearnerVariant,
     LoopConfig,
+    PoolState,
     StateError,
     SplitSizes,
     SyntheticWorldConfig,
     TrainConfig,
     compute_class_average_accuracy,
     compute_purity,
+    derive_attribute_labels,
     generate_world,
-    new_pool_state,
+    move_to_labeled,
     records_to_csv,
     run_experiment,
 )
 from coopattr.config import ExperimentConfig, loop_config, world_config
+from coopattr.pool import LABELED, TEST, UNASSIGNED, UNLABELED
 from coopattr.synthetic import AgentDomain, SyntheticWorld
 
 
@@ -63,22 +66,14 @@ def test_compute_purity_seeds_only(small_world):
 
 def test_compute_purity_counts_and_distractor_rule():
     true_category = np.array([0, 1, DISTRACTOR])
-    pool = new_pool_state([], [0, 1, 2], [], {})
-    from coopattr import move_to_labeled
-
-    pool = move_to_labeled(
-        pool,
-        [
-            (0, 0, []),  # correct
-            (1, 0, []),  # wrong category
-            (2, 1, []),  # distractor, always wrong
-        ],
-    )
+    pool = PoolState([0, 1, 2], [UNLABELED] * 3, [UNASSIGNED] * 3, np.zeros((3, 0)), [False] * 3)
+    # Correct; wrong category; distractor, always wrong.
+    pool = move_to_labeled(pool, [0, 1, 2], [0, 0, 1], 0)
     assert compute_purity(pool, true_category) == pytest.approx(1 / 3)
 
 
 def test_compute_purity_rejects_empty_pool():
-    pool = new_pool_state([], [1], [])
+    pool = PoolState([1], [UNLABELED], [UNASSIGNED], np.zeros((1, 0)), [False])
     with pytest.raises(StateError):
         compute_purity(pool, np.array([0]))
 
@@ -256,9 +251,9 @@ def _cloned_world(n_categories=3, n_attributes=4, seed=5):
         feature_noise_stds=(0.0, 0.0),
         rng_seed=seed,
     )
-    counts = {"labeled": sizes.labeled, "unlabeled": sizes.unlabeled, "test": sizes.test}
+    counts = (sizes.labeled, sizes.unlabeled, sizes.test)
     categories, splits, bits = [], [], []
-    for split, count in counts.items():
+    for split, count in zip((LABELED, UNLABELED, TEST), counts):
         for category in range(n_categories):
             for _ in range(count):
                 categories.append(category)
@@ -268,19 +263,16 @@ def _cloned_world(n_categories=3, n_attributes=4, seed=5):
     embeddings = [rng.standard_normal((6, n_attributes)) for _ in range(2)]
     domains, test_orders = [], []
     next_id = 0
-    splits = np.array(splits)
+    categories, splits = np.array(categories), np.array(splits)
+    seeds = splits == LABELED
     for agent in (0, 1):
         features = (bits - 0.5) @ embeddings[agent].T
         ids = np.arange(next_id, next_id + len(categories))
-        by_split = {split: ids[splits == split] for split in counts}
-        assignments = {
-            int(i): (categories[i - next_id], bits[i - next_id]) for i in by_split["labeled"]
-        }
-        pool = new_pool_state(
-            by_split["labeled"], by_split["unlabeled"], by_split["test"], assignments
+        pool = PoolState(
+            ids, splits, np.where(seeds, categories, UNASSIGNED), bits * seeds[:, None], seeds
         )
         domains.append(AgentDomain(agent, ids, features, categories, bits, pool))
-        test_orders.append(by_split["test"].tolist())
+        test_orders.append(ids[splits == TEST].tolist())
         next_id += len(categories)
     return SyntheticWorld(config, (domains[0], domains[1]), tuple(zip(*test_orders)))
 
@@ -305,15 +297,28 @@ def test_cooperative_equals_multiview_on_iteration_one_with_cloned_agents():
     assert coop[0] == multi[0]
 
 
-def test_advance_agent_accounting():
+def test_advance_agent_accounting(monkeypatch):
     world = generate_world(_small_config())
     run = harness._AgentRun(world.domains[0])
     cfg = LoopConfig(prune_every=1, train=TrainConfig(max_iters=100))
     harness._train_agent(run, world, cfg, aware=True, weighted=False)
-    before = len(run.pool.labeled)
+    before = np.count_nonzero(run.pool.split == LABELED)
+    calls = []
+
+    def derive(matrix, categories):
+        calls.append(np.array(categories))
+        return derive_attribute_labels(matrix, categories)
+
+    monkeypatch.setattr(harness, "derive_attribute_labels", derive)
+    start = run.pool
     transfers, prunes = harness._advance_agent(run, 1, cfg, True, 3)
-    assert len(run.pool.labeled) == before + transfers - prunes
-    assert run.pool.seed_ids <= run.pool.labeled
+    assert np.count_nonzero(run.pool.split == LABELED) == before + transfers - prunes
+    assert (run.pool.split[run.pool.seed] == LABELED).all()
+    # One call labels the whole batch, with the bits the table gives each category.
+    assert len(calls) == 1 and calls[0].size == transfers > 0
+    moved = (start.split == UNLABELED) & (run.pool.split == LABELED)
+    expected = derive_attribute_labels(run.matrix, run.pool.category[moved])
+    assert np.array_equal(run.pool.bits[moved], expected)
 
 
 def test_run_experiment_rejects_bad_iterations(small_world):

@@ -18,9 +18,8 @@ from coopattr import (
     generate_noise_dataset,
     generate_world,
     good_attribute_sets,
-    new_pool_state,
 )
-from coopattr.pool import LABELED, TEST, UNLABELED
+from coopattr.pool import LABELED, TEST, UNASSIGNED, UNLABELED, PoolState
 
 
 def _world_config(**overrides):
@@ -50,6 +49,13 @@ def _rows(domain, ids):
     return np.searchsorted(domain.ids, ids)
 
 
+def _pool(ids, split):
+    """An unannotated one-bit pool whose labeled rows are seeds."""
+    split = np.array(split)
+    return PoolState(ids, split, np.full(split.size, UNASSIGNED), np.zeros((split.size, 1)),
+                     split == LABELED)
+
+
 def test_same_seed_gives_identical_worlds():
     a = generate_world(_world_config())
     b = generate_world(_world_config())
@@ -70,10 +76,11 @@ def test_world_structure_sizes_and_disjointness():
     world = generate_world(cfg)
     sizes = cfg.examples_per_category
     for agent, domain in enumerate(world.domains):
-        assert len(domain.pool.labeled) == 4 * sizes.labeled
-        assert len(domain.pool.test) == 4 * sizes.test
+        split = domain.pool.split
+        assert np.count_nonzero(split == LABELED) == 4 * sizes.labeled
+        assert np.count_nonzero(split == TEST) == 4 * sizes.test
         expected_distractors = (cfg.n_distractors + 1) // 2 if agent == 0 else cfg.n_distractors // 2
-        assert len(domain.pool.unlabeled) == 4 * sizes.unlabeled + expected_distractors
+        assert np.count_nonzero(split == UNLABELED) == 4 * sizes.unlabeled + expected_distractors
     ids0 = set(world.domains[0].ids.tolist())
     ids1 = set(world.domains[1].ids.tolist())
     assert ids0.isdisjoint(ids1)
@@ -275,7 +282,7 @@ def test_world_config_validation():
 
 
 def test_agent_domain_arrays_follow_sorted_ids():
-    pool = new_pool_state([2], [7], [5])
+    pool = _pool([2, 5, 7], [LABELED, TEST, UNLABELED])
     domain = AgentDomain(
         0, [2, 5, 7], [[2.0, -1.0], [5.0, -1.0], [7.0, -1.0]], [0, 1, DISTRACTOR],
         np.zeros((3, 1)), pool,
@@ -290,8 +297,8 @@ def test_agent_domain_arrays_follow_sorted_ids():
 def test_agent_domain_rejects_pool_id_without_example():
     with pytest.raises(ConfigurationError):
         AgentDomain(0, [1, 2], [[0.0], [0.0]], [0, 0], np.zeros((2, 1)),
-                    new_pool_state([1], [2, 3], []))
-    pool = new_pool_state([1], [2], [])
+                    _pool([1, 2, 3], [LABELED, UNLABELED, UNLABELED]))
+    pool = _pool([1, 2], [LABELED, UNLABELED])
     for features, categories, bits in (
         ([[0.0]], [0, 0], np.zeros((2, 1))),
         ([[0.0], [0.0]], [0], np.zeros((2, 1))),

@@ -193,8 +193,24 @@ def test_derive_attribute_labels_saturated_columns():
 
 def test_derive_attribute_labels_rejects_bad_category():
     matrix = AttributeCategoryMatrix(np.full((2, 2), 0.5))
-    with pytest.raises(ConfigurationError):
-        derive_attribute_labels(matrix, 2)
+    for categories in (2, -1, [0, 2], [-1, 1]):
+        with pytest.raises(ConfigurationError):
+            derive_attribute_labels(matrix, categories)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 5), st.integers(0, 12))
+def test_derive_attribute_labels_matches_per_category_loop(seed, m, n, k):
+    # Rates mix exact 0, 0.5 and 1 with uniform draws, so the strict threshold is hit.
+    rng = np.random.default_rng(seed)
+    rates = np.where(rng.random((m, n)) < 0.5, rng.choice([0.0, 0.5, 1.0], (m, n)),
+                     rng.uniform(0, 1, (m, n)))
+    matrix = AttributeCategoryMatrix(rates)
+    categories = rng.integers(0, n, k)
+    got = derive_attribute_labels(matrix, categories)
+    expected = [(matrix.values[:, c] > 0.5).astype(np.int8) for c in categories.tolist()]
+    assert got.dtype == np.int8 and got.shape == (k, m)
+    assert np.array_equal(got, np.array(expected, dtype=np.int8).reshape(k, m))
 
 
 def test_select_prunes_takes_highest_entropy_non_seeds():
