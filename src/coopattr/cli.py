@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 from pathlib import Path
 
 from .config import (
@@ -118,6 +119,17 @@ def _svg_line_chart(title: str, series: list[tuple[str, list[float], list[float]
     return "\n".join(parts) + "\n"
 
 
+def _record_point(row: dict) -> tuple[int, float, float, float]:
+    """(agent, iteration, accuracy, purity) of one ``records.csv`` row."""
+    if None in row:
+        raise ValueError(f"more fields than columns: {row[None]}")
+    point = (int(row["agent"]), float(row["iteration"]), float(row["accuracy"]),
+             float(row["purity"]))
+    if not all(math.isfinite(value) for value in point[1:]):
+        raise ValueError(f"non-finite value in {point}")
+    return point
+
+
 def _cmd_report(args) -> int:
     run_dir = Path(args.in_dir)
     records_path = run_dir / "records.csv"
@@ -129,11 +141,7 @@ def _cmd_report(args) -> int:
             raise SystemExit(f"unexpected columns in {records_path}: {reader.fieldnames}")
         rows = list(reader)
     try:
-        points = [
-            (int(row["agent"]), float(row["iteration"]), float(row["accuracy"]),
-             float(row["purity"]))
-            for row in rows
-        ]
+        points = [_record_point(row) for row in rows]
     except (TypeError, ValueError) as exc:
         raise SystemExit(f"bad value in {records_path}: {exc}")
     if not points:

@@ -18,7 +18,7 @@ from .synthetic import (
     NoiseStudyConfig,
     SplitSizes,
     SyntheticWorldConfig,
-    check_accuracy_target,
+    check_accuracy_targets,
     contrast_ground_truth_matrix,
 )
 
@@ -70,8 +70,7 @@ class ExperimentConfig:
             levels=(0.0,) * self.noise_levels,
             n_seeds=self.noise_seeds,
         )
-        check_accuracy_target(self.good_accuracy_target, "good_accuracy_target")
-        check_accuracy_target(self.bad_accuracy_target, "bad_accuracy_target")
+        check_accuracy_targets(self.good_accuracy_target, self.bad_accuracy_target)
 
 
 def parse_flat_config(text: str) -> dict[str, str]:

@@ -56,6 +56,7 @@ from .synthetic import (
     NoiseStudyConfig,
     SyntheticWorld,
     calibrate_noise_std,
+    check_accuracy_targets,
     check_noise_std,
     generate_noise_dataset,
     good_attribute_sets,
@@ -394,6 +395,7 @@ def default_noise_sweep(
 ) -> NoiseSweepConfig:
     """Sweep whose lowest level hits the target good/bad accuracy bands and whose
     highest level makes all attributes equally bad."""
+    check_accuracy_targets(good_accuracy_target, bad_accuracy_target)
     sigma_good = calibrate_noise_std(good_accuracy_target, rng_seed=rng_seed)
     sigma_bad = calibrate_noise_std(bad_accuracy_target, rng_seed=rng_seed)
     base = study or NoiseStudyConfig(rng_seed=rng_seed)

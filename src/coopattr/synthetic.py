@@ -368,11 +368,31 @@ def check_accuracy_target(target_accuracy: float, name: str = "target accuracy")
         raise ConfigurationError(f"{name} must be in (0.5, 1.0), got {target_accuracy!r}")
 
 
+def check_accuracy_targets(good_accuracy_target: float, bad_accuracy_target: float) -> None:
+    """Reject a sweep's target pair: each in (0.5, 1.0), and good above bad, so
+    that the good attributes are the less noisy ones."""
+    check_accuracy_target(good_accuracy_target, "good_accuracy_target")
+    check_accuracy_target(bad_accuracy_target, "bad_accuracy_target")
+    if not good_accuracy_target > bad_accuracy_target:
+        raise ConfigurationError(
+            f"good_accuracy_target ({good_accuracy_target!r}) must be above "
+            f"bad_accuracy_target ({bad_accuracy_target!r})"
+        )
+
+
 def calibrate_noise_std(target_accuracy: float, rng_seed: int = 0) -> float:
     """Noise level whose thresholded predictions hit the target binary accuracy.
 
-    Empirical bisection on 200,000 simulated annotations; accuracy is monotone
-    decreasing in the noise level, from 1.0 at zero noise toward chance (0.5).
+    Empirical bisection on 200,000 simulated annotations over the bracket
+    [1e-9, 64]; accuracy is monotone decreasing in the noise level, from 1.0
+    at zero noise toward chance (0.5). A target at or above the accuracy at
+    64 is reachable; a lower one raises ``ConfigurationError``.
+
+    Each annotation's hit is non-increasing in the noise level in floating
+    point too, so the bracket shrinks the work: an annotation that hits at
+    ``hi`` hits everywhere inside it and one that misses at ``lo`` misses
+    everywhere, and only the rest are scored at the next midpoint. The
+    midpoints, and so the result, are those of scoring every annotation.
     """
     check_accuracy_target(target_accuracy)
     if rng_seed < 0:
@@ -381,16 +401,45 @@ def calibrate_noise_std(target_accuracy: float, rng_seed: int = 0) -> float:
     rng = np.random.default_rng([rng_seed, _STREAM_CALIBRATION])
     bits = rng.random(n_samples) < 0.5
     draws = rng.standard_normal(n_samples)
-
-    def accuracy(sigma: float) -> float:
-        # Clamping never moves a value across the 0.5 threshold.
-        return float((((bits + sigma * draws) > 0.5) == bits).mean())
-
     lo, hi = 1e-9, 64.0
+
+    def hits(sigma: float, scores: np.ndarray) -> np.ndarray:
+        # Scores the annotations still held in bits and draws into scores.
+        # Clamping never moves a value across the 0.5 threshold.
+        np.multiply(draws, sigma, out=scores)
+        scores += bits
+        hit = scores > 0.5
+        return np.equal(hit, bits, out=hit)
+
+    hit = hits(hi, np.empty(n_samples))
+    fixed = int(np.count_nonzero(hit))
+    if fixed / n_samples > target_accuracy:
+        raise ConfigurationError(
+            f"target accuracy {target_accuracy!r} is not reachable: the accuracy "
+            f"at noise level {hi!r} is {fixed / n_samples!r} (rng_seed {rng_seed}), "
+            f"so reachable targets lie in [{fixed / n_samples!r}, 1.0)"
+        )
+    # The hits at hi are settled. Of the rest, those that hit at lo are open;
+    # every annotation that hits at hi hits at lo too. The full-size score
+    # buffer is freed by now, and this first copy selects by mask: either
+    # kept, or an index array here, would raise the peak memory.
+    np.logical_not(hit, out=hit)
+    bits, draws = bits[hit], draws[hit]
+    scores = np.empty(bits.size)
+    hit = hits(lo, scores)
+    bits, draws = bits[hit], draws[hit]
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if accuracy(mid) > target_accuracy:
+        hit = hits(mid, scores[: bits.size])
+        count = int(np.count_nonzero(hit))
+        # (fixed + count) / n_samples is the float the full scan's mean gives.
+        if (fixed + count) / n_samples > target_accuracy:
             lo = mid
         else:
             hi = mid
+            fixed += count
+            np.logical_not(hit, out=hit)
+        # Gathering by index is faster than selecting by these random masks.
+        rows = np.flatnonzero(hit)
+        bits, draws = bits[rows], draws[rows]
     return 0.5 * (lo + hi)

@@ -66,6 +66,11 @@ def test_parse_flat_config_rejects_duplicate_key():
         "bad_accuracy_target = 1.0",
         "bad_accuracy_target = 0.3",
         "bad_accuracy_target = nan",
+        # The good attributes must be the less noisy ones.
+        "good_accuracy_target = 0.6\nbad_accuracy_target = 0.9",
+        "good_accuracy_target = 0.7\nbad_accuracy_target = 0.7",
+        "good_accuracy_target = 0.55",
+        "bad_accuracy_target = 0.95",
     ],
 )
 def test_load_experiment_config_rejects_invalid_setting(tmp_path, text):
@@ -162,7 +167,17 @@ def test_report_rejects_records_without_rows(tmp_path):
     assert not (tmp_path / "report.csv").exists()
 
 
-@pytest.mark.parametrize("row", ["1,0,high,1.0,,2,0", "1,x,0.5,1.0,,2,0", "1,0,0.5"])
+@pytest.mark.parametrize(
+    "row",
+    [
+        "1,0,high,1.0,,2,0",
+        "1,x,0.5,1.0,,2,0",
+        "1,0,0.5",
+        "1,0,0.5,1.0,,2,0,extra",
+        "1,0,nan,inf,,2,0",
+        "inf,0,0.5,1.0,,2,0",
+    ],
+)
 def test_report_rejects_malformed_row(tmp_path, row):
     (tmp_path / "records.csv").write_text(",".join(CSV_COLUMNS) + "\n" + row + "\n")
     with pytest.raises(SystemExit, match="bad value in .*records.csv"):

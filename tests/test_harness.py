@@ -364,6 +364,20 @@ def test_default_noise_sweep_rejects_negative_seed():
         default_noise_sweep(rng_seed=-1)
 
 
+@pytest.mark.parametrize(
+    "good, bad", [(0.6, 0.9), (0.7, 0.7), (float("nan"), 0.575), (0.92, 1.0)]
+)
+def test_default_noise_sweep_rejects_bad_target_pair(good, bad, monkeypatch):
+    from coopattr import default_noise_sweep, harness
+
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibrated before checking the targets")
+
+    monkeypatch.setattr(harness, "calibrate_noise_std", no_calibration)
+    with pytest.raises(ConfigurationError, match="accuracy_target"):
+        default_noise_sweep(good_accuracy_target=good, bad_accuracy_target=bad)
+
+
 def test_thread_env_does_not_change_results(small_world, monkeypatch):
     base = run_experiment(LearnerVariant.COOPERATIVE_UNIFORM, small_world, 4, _FAST)
     monkeypatch.setenv("COOPATTR_THREADS", "2")

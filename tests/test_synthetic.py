@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from coopattr import (
     DISTRACTOR,
@@ -20,6 +22,7 @@ from coopattr import (
     good_attribute_sets,
 )
 from coopattr.pool import LABELED, TEST, UNASSIGNED, UNLABELED, PoolState
+from coopattr.synthetic import _STREAM_CALIBRATION
 
 
 def _world_config(**overrides):
@@ -216,6 +219,75 @@ def test_noise_study_config_rejects_bad_noise_level(value, field):
 def test_calibrate_noise_std_rejects_negative_seed():
     with pytest.raises(ConfigurationError):
         calibrate_noise_std(0.9, rng_seed=-1)
+
+
+def _full_scan_calibrate_noise_std(target_accuracy, rng_seed=0):
+    # The earlier calibrate_noise_std, which scores every annotation at every
+    # midpoint, verbatim but for the argument checks.
+    n_samples = 200_000
+    rng = np.random.default_rng([rng_seed, _STREAM_CALIBRATION])
+    bits = rng.random(n_samples) < 0.5
+    draws = rng.standard_normal(n_samples)
+
+    def accuracy(sigma: float) -> float:
+        # Clamping never moves a value across the 0.5 threshold.
+        return float((((bits + sigma * draws) > 0.5) == bits).mean())
+
+    lo, hi = 1e-9, 64.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if accuracy(mid) > target_accuracy:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _accuracy_at_bracket_edge(rng_seed):
+    """Accuracy at the largest calibrated noise level, 64: the lowest reachable target."""
+    rng = np.random.default_rng([rng_seed, _STREAM_CALIBRATION])
+    bits = rng.random(200_000) < 0.5
+    draws = rng.standard_normal(200_000)
+    return float((((bits + 64.0 * draws) > 0.5) == bits).mean())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 9), st.integers(0, 2**32 - 1)),
+    # Where the target sits between the lowest reachable target and 1.0.
+    fraction=st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 1e-3),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.floats(1.0 - 1e-4, 1.0, exclude_max=True),
+    ),
+)
+def test_calibration_matches_full_scan_bisection(seed, fraction):
+    edge = _accuracy_at_bracket_edge(seed)
+    target = edge + fraction * (1.0 - edge)
+    assume(target < 1.0)
+    assert calibrate_noise_std(target, rng_seed=seed) == _full_scan_calibrate_noise_std(
+        target, rng_seed=seed
+    )
+
+
+@pytest.mark.parametrize("target", [0.92, 0.575, 0.51, 0.7, 0.98, 0.9999])
+@pytest.mark.parametrize("seed", [0, 1, 7, 123])
+def test_calibration_matches_full_scan_bisection_at_fixed_targets(target, seed):
+    assert calibrate_noise_std(target, rng_seed=seed) == _full_scan_calibrate_noise_std(
+        target, rng_seed=seed
+    )
+
+
+def test_calibration_rejects_unreachable_target():
+    # At seed 0 the accuracy at noise level 64 is 0.502965: that target is
+    # reachable, and a lower one names the reachable range.
+    assert _accuracy_at_bracket_edge(0) == 0.502965
+    assert calibrate_noise_std(0.502965) == _full_scan_calibrate_noise_std(0.502965)
+    reachable = r"reachable targets lie in \[0\.502965, 1\.0\)"
+    for target in (0.501, 0.5029649, 0.5000001):
+        with pytest.raises(ConfigurationError, match=reachable):
+            calibrate_noise_std(target)
 
 
 def test_calibration_hits_target_bands():
