@@ -407,37 +407,35 @@ def default_noise_sweep(
 def run_noise_study(sweep: NoiseSweepConfig) -> list[NoiseLevelResult]:
     """Matrix-only classification accuracy, own matrix vs the fused matrix.
 
-    Per level and seed: each agent estimates its matrix from its own small
-    human-annotated labeled set, then classifies the shared test set from its
-    own noisy attribute predictions, once with its own matrix (baseline) and
-    once with the two agents' fused matrix (cooperative). Feature models play
-    no role here. Results average over agents and seeds.
+    Per seed, each agent estimates its matrix from its own small
+    human-annotated labeled set. At each level it then classifies the shared
+    test set from its own noisy attribute predictions, once with its own matrix
+    (baseline) and once with the two agents' fused matrix (cooperative).
+    Feature models play no role here. Results average over agents and seeds.
     """
-    n_cat = sweep.study.n_categories
-    n_attr = sweep.study.n_attributes
+    study = sweep.study
+    n_cat, n_attr = study.n_categories, study.n_attributes
     # (good, bad) columns per agent: each agent's bad attributes are the other's good ones.
-    first, second = (sorted(good) for good in good_attribute_sets(sweep.study))
+    first, second = (sorted(good) for good in good_attribute_sets(study))
     columns = ((first, second), (second, first))
-    results = []
-    for level in sweep.levels:
-        baseline, cooperative, good_acc, bad_acc = [], [], [], []
-        for k in range(sweep.n_seeds):
-            cfg = replace(
-                sweep.study, good_noise_std=float(level), rng_seed=sweep.study.rng_seed + k
+    # Per level: baseline, cooperative, good and bad accuracy, seed-major and
+    # agent-minor. Only the predictions depend on the level, so each seed's
+    # dataset and matrices are made once and serve every level.
+    scores = [([], [], [], []) for _ in sweep.levels]
+    for k in range(sweep.n_seeds):
+        data = generate_noise_dataset(replace(study, rng_seed=study.rng_seed + k))
+        matrices = [
+            estimate_matrix_from_labels(
+                data.labeled_categories[agent], data.labeled_attributes[agent], n_cat, n_attr
             )
-            data = generate_noise_dataset(cfg)
-            matrices = [
-                estimate_matrix_from_labels(
-                    data.labeled_categories[agent],
-                    data.labeled_attributes[agent],
-                    n_cat,
-                    n_attr,
-                )
-                for agent in (0, 1)
-            ]
-            fused = fuse_uniform(matrices[0], [matrices[1]])
+            for agent in (0, 1)
+        ]
+        fused = fuse_uniform(matrices[0], [matrices[1]])
+        truth = data.test_attributes.astype(bool)
+        for level, (baseline, cooperative, good_acc, bad_acc) in zip(sweep.levels, scores):
+            predictions = data.predictions(study, float(level))
             for agent in (0, 1):
-                unary = data.test_predictions[agent]
+                unary = predictions[agent]
                 own_preds = np.argmax(crf_posterior_batch(matrices[agent], unary, n_cat), axis=1)
                 fused_preds = np.argmax(crf_posterior_batch(fused, unary, n_cat), axis=1)
                 baseline.append(
@@ -446,17 +444,17 @@ def run_noise_study(sweep: NoiseSweepConfig) -> list[NoiseLevelResult]:
                 cooperative.append(
                     compute_class_average_accuracy(fused_preds, data.test_categories, n_cat)
                 )
-                hits = (unary > 0.5) == data.test_attributes.astype(bool)
+                hits = (unary > 0.5) == truth
                 good, bad = columns[agent]
                 good_acc.append(float(hits[:, good].mean()))
                 bad_acc.append(float(hits[:, bad].mean()))
-        results.append(
-            NoiseLevelResult(
-                good_noise_std=float(level),
-                baseline_accuracy=fmean(baseline),
-                cooperative_accuracy=fmean(cooperative),
-                good_attribute_accuracy=fmean(good_acc),
-                bad_attribute_accuracy=fmean(bad_acc),
-            )
+    return [
+        NoiseLevelResult(
+            good_noise_std=float(level),
+            baseline_accuracy=fmean(baseline),
+            cooperative_accuracy=fmean(cooperative),
+            good_attribute_accuracy=fmean(good_acc),
+            bad_attribute_accuracy=fmean(bad_acc),
         )
-    return results
+        for level, (baseline, cooperative, good_acc, bad_acc) in zip(sweep.levels, scores)
+    ]

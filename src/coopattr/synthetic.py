@@ -144,12 +144,16 @@ def contrast_ground_truth_matrix(
     """Two-level presence rates with well-separated per-category profiles.
 
     Profiles are redrawn until every pair differs in at least two attributes,
-    so no two categories are near-indistinguishable by attributes.
+    so no two categories are near-indistinguishable by attributes. At most
+    2**(M - 1) profiles can be that far apart (the even-weight code).
     """
     if not low < high:
         raise ConfigurationError("the low presence rate must be below the high one")
-    if n_categories > 2**n_attributes:
-        raise ConfigurationError("more categories than distinct binary profiles")
+    if n_categories > 2 ** (n_attributes - 1):
+        raise ConfigurationError(
+            f"more categories than 2**(n_attributes - 1) = {2 ** (n_attributes - 1)}, "
+            "the most binary profiles that differ pairwise in at least two attributes"
+        )
     for _ in range(10_000):
         pattern = rng.random((n_attributes, n_categories)) < 0.5
         distances = (pattern[:, :, None] != pattern[:, None, :]).sum(axis=0)
@@ -256,18 +260,17 @@ def generate_world(config: SyntheticWorldConfig) -> SyntheticWorld:
 @dataclass(frozen=True, eq=False)
 class NoiseStudyConfig:
     """Controlled attribute-noise experiment: half the attributes are reliable
-    per agent ("good"), the other half noisy ("bad"), swapped between agents."""
+    per agent ("good"), the other half noisy ("bad"), swapped between agents.
+    The good level is not a field: ``NoiseStudyDataset.predictions`` takes it."""
 
     n_categories: int = 10
     n_attributes: int = 10
-    good_noise_std: float = 0.5
     bad_noise_std: float = 2.5
     labeled_count: int = 50
     test_count: int = 200
     rng_seed: int = 0
 
     def __post_init__(self):
-        check_noise_std(self.good_noise_std)
         check_noise_std(self.bad_noise_std)
         if self.n_categories < 2 or self.n_attributes < 2:
             raise ConfigurationError("a noise study needs two categories and two attributes")
@@ -290,23 +293,6 @@ def good_attribute_sets(config: NoiseStudyConfig) -> tuple[frozenset[int], froze
     return first, frozenset(range(config.n_attributes)) - first
 
 
-def _noisy_predictions(config: NoiseStudyConfig, annotations: np.ndarray) -> np.ndarray:
-    """Both agents' noisy views of the binary test annotations.
-
-    Returns a (2, n_examples, n_attributes) array: annotation plus Gaussian
-    noise at the per-agent, per-attribute level, clamped back into (0, 1) so
-    each value remains a valid presence probability. Noise draws depend only on
-    the seed and shapes, so sweeping the noise level reuses the same draws
-    (common random numbers).
-    """
-    good = np.isin(np.arange(config.n_attributes), list(good_attribute_sets(config)[0]))
-    sigma = np.where(np.stack([good, ~good]), config.good_noise_std, config.bad_noise_std)
-    rng = np.random.default_rng([config.rng_seed, _STREAM_STUDY_NOISE, 1])
-    draws = rng.standard_normal((2,) + annotations.shape)
-    noisy = annotations[None, :, :] + sigma[:, None, :] * draws
-    return np.clip(noisy, PREDICTION_CLAMP, 1.0 - PREDICTION_CLAMP)
-
-
 def _balanced_categories(count: int, n_categories: int) -> np.ndarray:
     base, extra = divmod(count, n_categories)
     return np.repeat(np.arange(n_categories), base + (np.arange(n_categories) < extra))
@@ -319,17 +305,31 @@ class NoiseStudyDataset:
     Each agent has its own human-annotated labeled set (ground-truth bits,
     random category composition), from which it estimates its matrix. The test
     set is shared; what differs per agent are its noisy attribute predictions
-    on the test examples.
+    on the test examples, which ``predictions`` makes from the standard-normal
+    ``test_noise`` at a given noise level.
     """
 
     labeled_categories: np.ndarray  # (2, labeled_count)
     labeled_attributes: np.ndarray  # (2, labeled_count, n_attributes)
     test_categories: np.ndarray  # (test_count,)
     test_attributes: np.ndarray  # (test_count, n_attributes)
-    test_predictions: np.ndarray  # (2, test_count, n_attributes)
+    test_noise: np.ndarray  # (2, test_count, n_attributes)
+
+    def predictions(self, config: NoiseStudyConfig, good_noise_std: float) -> np.ndarray:
+        """Both agents' (2, test_count, n_attributes) noisy views of the test
+        annotations: annotation plus the stored draws scaled by
+        ``good_noise_std`` on the agent's good attributes and ``bad_noise_std``
+        on the rest, clamped into (0, 1) so each is a valid presence
+        probability. Every level scales the same draws (common random numbers).
+        """
+        good = np.isin(np.arange(config.n_attributes), list(good_attribute_sets(config)[0]))
+        sigma = np.where(np.stack([good, ~good]), good_noise_std, config.bad_noise_std)
+        noisy = self.test_attributes[None, :, :] + sigma[:, None, :] * self.test_noise
+        return np.clip(noisy, PREDICTION_CLAMP, 1.0 - PREDICTION_CLAMP)
 
 
 def generate_noise_dataset(config: NoiseStudyConfig) -> NoiseStudyDataset:
+    """Draw one study instance; no part of it depends on a noise level."""
     seed = config.rng_seed
     n_cat, n_attr = config.n_categories, config.n_attributes
     truth = contrast_ground_truth_matrix(
@@ -349,12 +349,13 @@ def generate_noise_dataset(config: NoiseStudyConfig) -> NoiseStudyDataset:
     test_attrs = (
         test_rng.random((test_cats.size, n_attr)) < truth[:, test_cats].T
     ).astype(np.int8)
+    noise_rng = np.random.default_rng([seed, _STREAM_STUDY_NOISE, 1])
     return NoiseStudyDataset(
         labeled_categories=labeled_cats,
         labeled_attributes=labeled_attrs,
         test_categories=test_cats,
         test_attributes=test_attrs,
-        test_predictions=_noisy_predictions(config, test_attrs),
+        test_noise=noise_rng.standard_normal((2,) + test_attrs.shape),
     )
 
 

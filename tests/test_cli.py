@@ -51,6 +51,8 @@ def test_parse_flat_config_rejects_duplicate_key():
         "world_matrix_low = 0.5\nworld_matrix_high = 0.5",
         "unlabeled_per_category = 0",
         "n_categories = 1",
+        # More categories than 2**(n_attributes - 1) separable profiles.
+        "n_attributes = 10\nn_categories = 600",
         "attribute_flip_rate = 1.0",
         "feature_noise_std_a = nan",
         "feature_noise_std_b = inf",

@@ -349,6 +349,38 @@ def test_noise_study_margins_positive_then_compressed():
     assert highest.margin < lowest.margin
 
 
+def _small_noise_sweep(levels, n_seeds=2):
+    from coopattr import NoiseStudyConfig, NoiseSweepConfig
+
+    study = NoiseStudyConfig(n_categories=4, n_attributes=5, bad_noise_std=2.0,
+                             labeled_count=12, test_count=40, rng_seed=3)
+    return NoiseSweepConfig(study=study, levels=levels, n_seeds=n_seeds)
+
+
+def test_noise_study_draws_each_seed_once(monkeypatch):
+    generate = harness.generate_noise_dataset
+    seeds = []
+
+    def counting(config):
+        seeds.append(config.rng_seed)
+        return generate(config)
+
+    monkeypatch.setattr(harness, "generate_noise_dataset", counting)
+    results = harness.run_noise_study(_small_noise_sweep((0.2, 1.0, 2.0)))
+    assert len(results) == 3
+    assert seeds == [3, 4]
+
+
+def test_noise_study_levels_match_single_level_sweeps():
+    # A benchmark op runs one level at a time; a whole sweep must agree with it.
+    sweep = _small_noise_sweep((0.0, 0.3, 1.1, 2.0), n_seeds=3)
+    alone = [
+        harness.run_noise_study(harness.NoiseSweepConfig(sweep.study, (level,), sweep.n_seeds))[0]
+        for level in sweep.levels
+    ]
+    assert harness.run_noise_study(sweep) == alone
+
+
 @pytest.mark.parametrize("level", [float("nan"), float("inf"), -0.5])
 def test_noise_sweep_config_rejects_bad_level(level):
     from coopattr import NoiseStudyConfig, NoiseSweepConfig

@@ -187,27 +187,41 @@ def test_good_attribute_sets_partition():
 
 def test_noise_dataset_zero_noise_predictions_equal_clamped_truth():
     cfg = NoiseStudyConfig(n_categories=2, n_attributes=4, labeled_count=4, test_count=6,
-                           good_noise_std=0.0, bad_noise_std=0.0)
+                           bad_noise_std=0.0)
     data = generate_noise_dataset(cfg)
-    assert data.test_predictions.shape == (2, 6, 4)
+    assert data.test_noise.shape == (2, 6, 4)
+    predictions = data.predictions(cfg, 0.0)
+    assert predictions.shape == (2, 6, 4)
     clamped = np.clip(data.test_attributes, 1e-6, 1 - 1e-6)
-    assert np.allclose(data.test_predictions, clamped[None])
+    assert np.allclose(predictions, clamped[None])
 
 
 def test_noise_dataset_predictions_strictly_interior():
     cfg = NoiseStudyConfig(n_categories=2, n_attributes=3, labeled_count=4, test_count=50,
-                           good_noise_std=5.0, bad_noise_std=5.0)
-    preds = generate_noise_dataset(cfg).test_predictions
+                           bad_noise_std=5.0)
+    preds = generate_noise_dataset(cfg).predictions(cfg, 5.0)
     assert preds.min() > 0.0 and preds.max() < 1.0
+
+
+def test_noise_dataset_does_not_depend_on_bad_noise_level():
+    cfg = NoiseStudyConfig(n_categories=3, n_attributes=5, labeled_count=6, test_count=9)
+    low, high = (generate_noise_dataset(replace(cfg, bad_noise_std=s)) for s in (0.0, 4.0))
+    for name in ("labeled_categories", "labeled_attributes", "test_categories",
+                 "test_attributes", "test_noise"):
+        assert np.array_equal(getattr(low, name), getattr(high, name))
+
+
+def test_noise_predictions_scale_each_agents_halves():
+    cfg = NoiseStudyConfig(n_attributes=5, bad_noise_std=2.0, test_count=50)
+    data = generate_noise_dataset(cfg)
+    sigma = np.array([[0.5, 0.5, 0.5, 2.0, 2.0], [2.0, 2.0, 2.0, 0.5, 0.5]])
+    expected = data.test_attributes[None] + sigma[:, None, :] * data.test_noise
+    assert np.array_equal(data.predictions(cfg, 0.5), np.clip(expected, 1e-6, 1 - 1e-6))
 
 
 @pytest.mark.parametrize(
     "value, field",
-    [
-        (v, f)
-        for v in (float("nan"), float("inf"), -0.5)
-        for f in ("good_noise_std", "bad_noise_std")
-    ]
+    [(v, "bad_noise_std") for v in (float("nan"), float("inf"), -0.5)]
     # Below two categories or attributes an agent has no reliable attribute.
     + [(1, "n_categories"), (0, "n_categories"), (1, "n_attributes"), (0, "n_attributes")],
 )
@@ -294,11 +308,10 @@ def test_calibration_hits_target_bands():
     sigma_good = calibrate_noise_std(0.85, rng_seed=7)
     sigma_bad = calibrate_noise_std(0.575, rng_seed=7)
     assert 0.0 < sigma_good < sigma_bad
-    cfg = NoiseStudyConfig(good_noise_std=sigma_good, bad_noise_std=sigma_bad,
-                           test_count=4000, rng_seed=5)
+    cfg = NoiseStudyConfig(bad_noise_std=sigma_bad, test_count=4000, rng_seed=5)
     data = generate_noise_dataset(cfg)
     good0, _ = good_attribute_sets(cfg)
-    hits = (data.test_predictions[0] > 0.5) == data.test_attributes.astype(bool)
+    hits = (data.predictions(cfg, sigma_good)[0] > 0.5) == data.test_attributes.astype(bool)
     good_acc = hits[:, sorted(good0)].mean()
     bad_acc = hits[:, sorted(set(range(10)) - good0)].mean()
     assert good_acc > 0.80
@@ -307,12 +320,12 @@ def test_calibration_hits_target_bands():
 
 def test_noise_sweep_common_random_numbers():
     cfg = NoiseStudyConfig(rng_seed=3)
-    low, high = (generate_noise_dataset(replace(cfg, good_noise_std=s)) for s in (1.0, 2.0))
+    data = generate_noise_dataset(cfg)
     good0, _ = good_attribute_sets(cfg)
     cols = sorted(good0)
-    truth = low.test_attributes[:, cols].astype(float)
-    p_low = low.test_predictions[0][:, cols]
-    p_high = high.test_predictions[0][:, cols]
+    truth = data.test_attributes[:, cols].astype(float)
+    p_low = data.predictions(cfg, 1.0)[0][:, cols]
+    p_high = data.predictions(cfg, 2.0)[0][:, cols]
 
     def unclipped(p):
         return (p > 1e-6) & (p < 1 - 1e-6)
@@ -326,12 +339,32 @@ def test_noise_sweep_common_random_numbers():
 def test_noise_sweep_final_level_makes_attributes_indistinguishable():
     sigma_bad = calibrate_noise_std(0.575, rng_seed=1)
     cfg = NoiseStudyConfig(bad_noise_std=sigma_bad, test_count=5000, rng_seed=1)
-    data = generate_noise_dataset(replace(cfg, good_noise_std=sigma_bad))
+    data = generate_noise_dataset(cfg)
     good0, _ = good_attribute_sets(cfg)
-    hits = (data.test_predictions[0] > 0.5) == data.test_attributes.astype(bool)
+    hits = (data.predictions(cfg, sigma_bad)[0] > 0.5) == data.test_attributes.astype(bool)
     good_acc = hits[:, sorted(good0)].mean()
     bad_acc = hits[:, sorted(set(range(10)) - good0)].mean()
     assert abs(good_acc - bad_acc) < 0.02
+
+
+@pytest.mark.parametrize("n_attributes, n_categories", [(3, 5), (2, 3), (1, 2), (10, 600)])
+def test_contrast_matrix_rejects_more_categories_than_separable_profiles(
+    n_attributes, n_categories
+):
+    # At most 2**(M - 1) profiles differ pairwise in two attributes; the
+    # draw loop would spin through every attempt before failing.
+    bound = 2 ** (n_attributes - 1)
+    with pytest.raises(ConfigurationError, match=rf"2\*\*\(n_attributes - 1\) = {bound}\b"):
+        contrast_ground_truth_matrix(n_attributes, n_categories, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n_attributes", [2, 3])
+def test_contrast_matrix_draws_the_largest_separable_table(n_attributes):
+    # The guard admits the bound itself; the rejection draw finds it at small M.
+    bound = 2 ** (n_attributes - 1)
+    pattern = contrast_ground_truth_matrix(n_attributes, bound, np.random.default_rng(0)) > 0.5
+    distances = (pattern[:, :, None] != pattern[:, None, :]).sum(axis=0)
+    assert (distances + 2 * np.eye(bound, dtype=int)).min() >= 2
 
 
 def test_contrast_matrix_profiles_are_separated():
