@@ -68,7 +68,7 @@ from .synthetic import (
     contrast_ground_truth_matrix,
     generate_noise_dataset,
     generate_world,
-    good_attribute_sets,
+    good_attribute_mask,
 )
 from .transfer import (
     derive_attribute_labels,

@@ -59,7 +59,7 @@ from .synthetic import (
     check_accuracy_targets,
     check_noise_std,
     generate_noise_dataset,
-    good_attribute_sets,
+    good_attribute_mask,
 )
 from .transfer import derive_attribute_labels, select_prunes, select_transfers
 
@@ -202,7 +202,7 @@ def _advance_agent(run, t: int, cfg: LoopConfig, aware: bool, n_categories: int)
         chosen = select_transfers(
             run.pool.ids[unlabeled], posteriors, cfg.transfers_per_category
         )
-        ids, categories = np.array(chosen, dtype=np.int64).reshape(-1, 2).T
+        ids, categories = chosen.T
         bits = derive_attribute_labels(run.matrix, categories) if aware else 0
         run.pool = move_to_labeled(run.pool, ids, categories, bits)
         transfers = ids.size
@@ -211,15 +211,14 @@ def _advance_agent(run, t: int, cfg: LoopConfig, aware: bool, n_categories: int)
         pool = run.pool
         labeled = np.flatnonzero(pool.split == LABELED)
         posteriors = _agent_posterior(run, features[labeled], aware, n_categories)
+        # Every labeled row is scored in one batch; seeds are never pruned.
+        open_rows = ~pool.seed[labeled]
+        rows = labeled[open_rows]
         pruned = select_prunes(
-            pool.ids[labeled],
-            pool.category[labeled],
-            posteriors,
-            cfg.prunes_per_category,
-            pool.ids[pool.seed],
+            pool.ids[rows], pool.category[rows], posteriors[open_rows], cfg.prunes_per_category
         )
         run.pool = prune_from_labeled(pool, pruned)
-        prunes = len(pruned)
+        prunes = pruned.size
     return transfers, prunes
 
 
@@ -244,7 +243,7 @@ def _agent_test_metrics(run, aware: bool, n_categories: int):
 
 def _ensemble_test_accuracy(runs, world) -> float:
     n_categories = world.config.n_categories
-    pairs = np.array(world.paired_test_ids, dtype=np.int64).reshape(-1, 2)
+    pairs = world.paired_test_ids
     mean_posterior = None
     for agent, run in enumerate(runs):
         posterior = run.category_bank.posterior_batch(_features_for(run.domain, pairs[:, agent]))
@@ -394,12 +393,13 @@ def default_noise_sweep(
     study: NoiseStudyConfig | None = None,
 ) -> NoiseSweepConfig:
     """Sweep whose lowest level hits the target good/bad accuracy bands and whose
-    highest level makes all attributes equally bad."""
+    highest level makes all attributes equally bad. The returned study takes
+    ``rng_seed``, which also seeds the calibration, and the calibrated
+    ``bad_noise_std``; its other fields come from ``study``."""
     check_accuracy_targets(good_accuracy_target, bad_accuracy_target)
     sigma_good = calibrate_noise_std(good_accuracy_target, rng_seed=rng_seed)
     sigma_bad = calibrate_noise_std(bad_accuracy_target, rng_seed=rng_seed)
-    base = study or NoiseStudyConfig(rng_seed=rng_seed)
-    base = replace(base, bad_noise_std=sigma_bad)
+    base = replace(study or NoiseStudyConfig(), rng_seed=rng_seed, bad_noise_std=sigma_bad)
     levels = tuple(float(s) for s in np.linspace(sigma_good, sigma_bad, n_levels))
     return NoiseSweepConfig(study=base, levels=levels, n_seeds=n_seeds)
 
@@ -415,9 +415,7 @@ def run_noise_study(sweep: NoiseSweepConfig) -> list[NoiseLevelResult]:
     """
     study = sweep.study
     n_cat, n_attr = study.n_categories, study.n_attributes
-    # (good, bad) columns per agent: each agent's bad attributes are the other's good ones.
-    first, second = (sorted(good) for good in good_attribute_sets(study))
-    columns = ((first, second), (second, first))
+    good_columns = good_attribute_mask(study)
     # Per level: baseline, cooperative, good and bad accuracy, seed-major and
     # agent-minor. Only the predictions depend on the level, so each seed's
     # dataset and matrices are made once and serve every level.
@@ -445,9 +443,8 @@ def run_noise_study(sweep: NoiseSweepConfig) -> list[NoiseLevelResult]:
                     compute_class_average_accuracy(fused_preds, data.test_categories, n_cat)
                 )
                 hits = (unary > 0.5) == truth
-                good, bad = columns[agent]
-                good_acc.append(float(hits[:, good].mean()))
-                bad_acc.append(float(hits[:, bad].mean()))
+                good_acc.append(float(hits[:, good_columns[agent]].mean()))
+                bad_acc.append(float(hits[:, ~good_columns[agent]].mean()))
     return [
         NoiseLevelResult(
             good_noise_std=float(level),

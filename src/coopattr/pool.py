@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -158,9 +158,13 @@ class PoolState:
         })
 
 
-def _id_array(ids: Iterable[int]) -> np.ndarray:
-    # A set, not np.unique: np.unique imports numpy.ma on first use.
-    return np.array(sorted(set(map(int, ids))), dtype=np.int64)
+def _int_array(values, what: str) -> np.ndarray:
+    """``values`` as int64. Non-integer values are refused rather than
+    truncated; an empty list, which numpy reads as float64, passes."""
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
+        raise ConfigurationError(f"{what} must be integers, got {array.dtype} values")
+    return array.astype(np.int64, copy=False)
 
 
 def _rows(ids: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,6 +175,22 @@ def _rows(ids: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, ids[rows] == wanted
 
 
+def _batch_rows(pool: PoolState, ids, split_code: int) -> tuple[np.ndarray, np.ndarray]:
+    """A batch's int64 ids and their pool rows; each id must be a distinct
+    row of the ``split_code`` split."""
+    ids = _int_array(ids, "example ids")
+    if ids.ndim != 1:
+        raise ConfigurationError("example ids must be a 1-D array")
+    rows, found = _rows(pool.ids, ids)
+    inside = found & (pool.split[rows] == split_code)
+    if not inside.all():
+        name = ("labeled", "unlabeled", "test")[split_code]
+        raise StateError(f"example {ids[~inside][0]} is not in the {name} set")
+    if (np.diff(np.sort(rows)) == 0).any():
+        raise StateError(f"an example is moved twice in one batch: {ids.tolist()}")
+    return ids, rows
+
+
 def move_to_labeled(pool: PoolState, ids, categories, bits) -> PoolState:
     """Move unlabeled examples into the labeled pool with their predicted labels.
 
@@ -179,18 +199,12 @@ def move_to_labeled(pool: PoolState, ids, categories, bits) -> PoolState:
     records no attribute labels. The whole batch becomes one new state. An
     empty batch returns ``pool`` itself.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    categories = np.asarray(categories, dtype=np.int64)
-    if ids.ndim != 1 or categories.shape != ids.shape:
+    ids, rows = _batch_rows(pool, ids, UNLABELED)
+    categories = _int_array(categories, "categories")
+    if categories.shape != ids.shape:
         raise ConfigurationError("need one category per moved id")
     if not ids.size:
         return pool
-    rows, found = _rows(pool.ids, ids)
-    open_rows = found & (pool.split[rows] == UNLABELED)
-    if not open_rows.all():
-        raise StateError(f"example {ids[~open_rows][0]} is not in the unlabeled set")
-    if _id_array(ids).size < ids.size:
-        raise StateError(f"an example is moved twice in one batch: {ids.tolist()}")
     if (categories < 0).any():
         raise ConfigurationError("assigned categories must be non-negative")
     width, bits = pool.bits.shape[1], np.asarray(bits)
@@ -207,18 +221,14 @@ def move_to_labeled(pool: PoolState, ids, categories, bits) -> PoolState:
     return PoolState(pool.ids, split, category, new_bits, pool.seed)
 
 
-def prune_from_labeled(pool: PoolState, example_ids: Iterable[int]) -> PoolState:
+def prune_from_labeled(pool: PoolState, example_ids) -> PoolState:
     """Return low-confidence examples to the unlabeled pool, clearing their labels.
 
-    Seed examples cannot be pruned.
+    Seed examples cannot be pruned. An empty batch returns ``pool`` itself.
     """
-    ids = _id_array(example_ids)
+    ids, rows = _batch_rows(pool, example_ids, LABELED)
     if not ids.size:
         return pool
-    rows, found = _rows(pool.ids, ids)
-    labeled = found & (pool.split[rows] == LABELED)
-    if not labeled.all():
-        raise StateError(f"cannot prune ids not in the labeled set: {ids[~labeled].tolist()}")
     protected = pool.seed[rows]
     if protected.any():
         raise StateError(f"cannot prune seed examples: {ids[protected].tolist()}")

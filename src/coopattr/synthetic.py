@@ -127,14 +127,18 @@ class AgentDomain:
         return dict(zip(ids, map(ExampleRecord, ids, self.true_category.tolist())))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticWorld:
     config: SyntheticWorldConfig
     domains: tuple[AgentDomain, AgentDomain]
-    #: Test examples generated from the same attribute draw in both domains,
-    #: aligned (agent-0 id, agent-1 id). Only the cross-agent ensemble baseline
-    #: relies on this pairing.
-    paired_test_ids: tuple[tuple[int, int], ...]
+    #: Test examples generated from the same attribute draw in both domains:
+    #: a read-only ``(n_test, 2)`` int64 array of (agent-0 id, agent-1 id)
+    #: rows. Only the cross-agent ensemble baseline relies on this pairing.
+    paired_test_ids: np.ndarray
+
+    def __post_init__(self):
+        pairs = _frozen_array(self.paired_test_ids, np.int64)
+        object.__setattr__(self, "paired_test_ids", pairs)
 
 
 def contrast_ground_truth_matrix(
@@ -250,10 +254,10 @@ def generate_world(config: SyntheticWorldConfig) -> SyntheticWorld:
             seed=seed_rows,
         )
         domains.append(AgentDomain(agent, ids, features, true_category, bits, pool))
-        test_ids.append(ids[-n_test:].tolist())
+        test_ids.append(ids[-n_test:])
         next_id += bits.shape[0]
 
-    paired = tuple(zip(test_ids[0], test_ids[1]))
+    paired = np.stack(test_ids, axis=1)
     return SyntheticWorld(config=cfg, domains=(domains[0], domains[1]), paired_test_ids=paired)
 
 
@@ -286,11 +290,12 @@ def check_noise_std(value: float) -> None:
         raise ConfigurationError(f"noise levels must be finite and non-negative, got {value!r}")
 
 
-def good_attribute_sets(config: NoiseStudyConfig) -> tuple[frozenset[int], frozenset[int]]:
-    """The two agents' reliable attribute sets: agent 0 has the first
-    ``(M + 1) // 2`` attributes, agent 1 the rest."""
-    first = frozenset(range((config.n_attributes + 1) // 2))
-    return first, frozenset(range(config.n_attributes)) - first
+def good_attribute_mask(config: NoiseStudyConfig) -> np.ndarray:
+    """A ``(2, M)`` bool array whose row ``a`` marks agent ``a``'s reliable
+    attributes: agent 0 has the first ``(M + 1) // 2``, agent 1 the rest, so
+    each agent's bad attributes are the other's good ones."""
+    first = np.arange(config.n_attributes) < (config.n_attributes + 1) // 2
+    return np.stack([first, ~first])
 
 
 def _balanced_categories(count: int, n_categories: int) -> np.ndarray:
@@ -322,8 +327,7 @@ class NoiseStudyDataset:
         on the rest, clamped into (0, 1) so each is a valid presence
         probability. Every level scales the same draws (common random numbers).
         """
-        good = np.isin(np.arange(config.n_attributes), list(good_attribute_sets(config)[0]))
-        sigma = np.where(np.stack([good, ~good]), good_noise_std, config.bad_noise_std)
+        sigma = np.where(good_attribute_mask(config), good_noise_std, config.bad_noise_std)
         noisy = self.test_attributes[None, :, :] + sigma[:, None, :] * self.test_noise
         return np.clip(noisy, PREDICTION_CLAMP, 1.0 - PREDICTION_CLAMP)
 

@@ -9,12 +9,10 @@ break toward the lower example id and runs are reproducible.
 """
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from .errors import ConfigurationError
-from .pool import AttributeCategoryMatrix
+from .pool import AttributeCategoryMatrix, _int_array
 
 
 def entropy(posterior):
@@ -46,29 +44,27 @@ def _first_per_category(ids, categories, keys, count: int) -> np.ndarray:
 
 
 def _rows(ids, posteriors) -> tuple[np.ndarray, np.ndarray]:
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = _int_array(ids, "candidate ids")
     probs = np.asarray(posteriors, dtype=float)
     if ids.ndim != 1 or probs.ndim != 2 or probs.shape[0] != ids.size:
         raise ConfigurationError("need one posterior row per candidate id")
     return ids, probs
 
 
-def select_transfers(ids, posteriors, per_category_count: int) -> list[tuple[int, int]]:
+def select_transfers(ids, posteriors, per_category_count: int) -> np.ndarray:
     """Pick the most confident unlabeled candidates per predicted category.
 
     ``posteriors`` holds one combined posterior row per id. Candidates are
     grouped by the row argmax; within each group the ``per_category_count``
-    lowest-entropy ids win (fewer if the group is smaller). Returns
-    (example_id, predicted_category) pairs by ascending category.
+    lowest-entropy ids win (fewer if the group is smaller). Returns one
+    int64 (example_id, predicted_category) row per pick, by ascending category.
     """
     if per_category_count < 1:
         raise ConfigurationError("per_category_count must be at least 1")
-    if len(ids) == 0:
-        return []
     ids, probs = _rows(ids, posteriors)
     categories = np.argmax(probs, axis=1)
     keep = _first_per_category(ids, categories, entropy(probs), per_category_count)
-    return list(zip(ids[keep].tolist(), categories[keep].tolist()))
+    return np.stack((ids[keep], categories[keep]), axis=1)
 
 
 def derive_attribute_labels(matrix: AttributeCategoryMatrix, categories) -> np.ndarray:
@@ -83,30 +79,20 @@ def derive_attribute_labels(matrix: AttributeCategoryMatrix, categories) -> np.n
     return (matrix.values[:, categories].T > 0.5).astype(np.int8)
 
 
-def select_prunes(
-    ids,
-    categories,
-    posteriors,
-    per_category_count: int,
-    protected_ids: Iterable[int] = (),
-) -> list[int]:
+def select_prunes(ids, categories, posteriors, per_category_count: int) -> np.ndarray:
     """Pick the least confident labeled examples per assigned category.
 
     Row ``i`` of ``posteriors`` is the combined posterior of ``ids[i]``,
-    whose assigned category is ``categories[i]``. Protected (seed) ids are
-    never selected. Within each category the ``per_category_count``
-    highest-entropy ids are returned, by ascending category.
+    whose assigned category is ``categories[i]``; the caller leaves out rows
+    that may not be pruned (seeds). Within each category the
+    ``per_category_count`` highest-entropy ids are returned, by ascending
+    category, as an int64 array.
     """
     if per_category_count < 1:
         raise ConfigurationError("per_category_count must be at least 1")
-    if len(ids) == 0:
-        return []
     ids, probs = _rows(ids, posteriors)
-    categories = np.asarray(categories, dtype=np.int64)
+    categories = _int_array(categories, "categories")
     if categories.shape != ids.shape:
         raise ConfigurationError("need one assigned category per candidate id")
-    protected = np.fromiter((int(i) for i in protected_ids), dtype=np.int64)
-    open_rows = ~np.isin(ids, protected)
-    ids, categories, probs = ids[open_rows], categories[open_rows], probs[open_rows]
     keep = _first_per_category(ids, categories, -entropy(probs), per_category_count)
-    return ids[keep].tolist()
+    return ids[keep]

@@ -29,7 +29,7 @@ from coopattr import (
     records_to_csv,
     run_experiment,
 )
-from coopattr.config import ExperimentConfig, loop_config, world_config
+from coopattr.config import ExperimentConfig, load_experiment_config, loop_config, world_config
 from coopattr.pool import LABELED, TEST, UNASSIGNED, UNLABELED
 from coopattr.synthetic import AgentDomain, SyntheticWorld
 
@@ -272,9 +272,9 @@ def _cloned_world(n_categories=3, n_attributes=4, seed=5):
             ids, splits, np.where(seeds, categories, UNASSIGNED), bits * seeds[:, None], seeds
         )
         domains.append(AgentDomain(agent, ids, features, categories, bits, pool))
-        test_orders.append(ids[splits == TEST].tolist())
+        test_orders.append(ids[splits == TEST])
         next_id += len(categories)
-    return SyntheticWorld(config, (domains[0], domains[1]), tuple(zip(*test_orders)))
+    return SyntheticWorld(config, (domains[0], domains[1]), np.stack(test_orders, axis=1))
 
 
 def test_features_for_matches_stacked_examples():
@@ -319,6 +319,30 @@ def test_advance_agent_accounting(monkeypatch):
     moved = (start.split == UNLABELED) & (run.pool.split == LABELED)
     expected = derive_attribute_labels(run.matrix, run.pool.category[moved])
     assert np.array_equal(run.pool.bits[moved], expected)
+
+
+def test_advance_agent_never_prunes_seeds_even_when_least_confident(monkeypatch):
+    # Seed protection lives in the caller: select_prunes ranks every row it
+    # gets, so _advance_agent must leave the seed rows out.
+    world = generate_world(_small_config())
+    run = harness._AgentRun(world.domains[0])
+    unlabeled = np.flatnonzero(run.pool.split == UNLABELED)
+    run.pool = move_to_labeled(run.pool, run.pool.ids[unlabeled], unlabeled % 3, 0)
+    start = run.pool
+
+    def seeds_least_confident(agent_run, features, aware, n_categories):
+        seed = agent_run.pool.seed[agent_run.pool.split == LABELED]
+        assert features.shape[0] == seed.size  # only the labeled rows are scored
+        confident = np.tile([0.9, 0.05, 0.05], (seed.size, 1))
+        return np.where(seed[:, None], 1.0 / 3.0, confident)
+
+    monkeypatch.setattr(harness, "_agent_posterior", seeds_least_confident)
+    cfg = LoopConfig(prunes_per_category=6, prune_every=1)
+    transfers, prunes = harness._advance_agent(run, 1, cfg, False, 3)
+    pruned = (start.split == LABELED) & (run.pool.split == UNLABELED)
+    assert transfers == 0 and prunes == np.count_nonzero(pruned) == 3 * 6
+    assert not (pruned & start.seed).any()
+    assert (run.pool.split[start.seed] == LABELED).all()
 
 
 def test_run_experiment_rejects_bad_iterations(small_world):
@@ -387,6 +411,16 @@ def test_noise_sweep_config_rejects_bad_level(level):
 
     with pytest.raises(ConfigurationError):
         NoiseSweepConfig(study=NoiseStudyConfig(), levels=(0.5, level), n_seeds=1)
+
+
+def test_default_noise_sweep_draws_data_at_its_calibration_seed():
+    from coopattr import NoiseStudyConfig, default_noise_sweep
+
+    study = NoiseStudyConfig(n_categories=4, labeled_count=12, rng_seed=0)
+    sweep = default_noise_sweep(n_levels=2, n_seeds=1, rng_seed=3, study=study)
+    assert sweep.study.rng_seed == 3
+    assert sweep.study.n_categories == 4 and sweep.study.labeled_count == 12
+    assert sweep.study.bad_noise_std == sweep.levels[-1]
 
 
 def test_default_noise_sweep_rejects_negative_seed():
@@ -539,14 +573,20 @@ def test_run_experiment_never_builds_the_examples_view():
     assert all(view[i].id == i for i in view)
 
 
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _benchmark_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", _PERFBENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer()
+
+
 def test_benchmark_tracer_finds_every_wrapped_name(small_world):
     # The benchmark's traced run wraps library names from outside; a renamed
     # one would only read zero there, so its contract is checked here.
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    tracer = module.Tracer()
+    tracer = _benchmark_tracer()
     tracer.install()
     try:
         assert tracer.missing == []
@@ -557,3 +597,29 @@ def test_benchmark_tracer_finds_every_wrapped_name(small_world):
         assert tracer.counts["linear.predict_calls"] > 0
     finally:
         tracer.restore()
+
+
+def test_benchmark_tracer_counts_every_transfer_and_prune():
+    # The tracer counts the rows select_transfers and select_prunes return
+    # and unpacks each transfer as (id, category); another return shape
+    # would miscount there without failing.
+    cfg = load_experiment_config(_PERFBENCH / "configs" / "tiny" / "trend.cfg")
+    world = generate_world(world_config(cfg, 0))
+    tracer = _benchmark_tracer()
+    tracer.distractors = frozenset(np.concatenate(
+        [domain.ids[domain.true_category == DISTRACTOR] for domain in world.domains]
+    ).tolist())
+    tracer.install()
+    try:
+        assert tracer.missing == []
+        with tracer.op(1):
+            records = run_experiment(
+                LearnerVariant.COOPERATIVE_UNIFORM, world, 6, loop_config(cfg)
+            )
+    finally:
+        tracer.restore()
+    agents = [metrics for record in records for metrics in record.agents]
+    counts = tracer.counts
+    assert counts["transfer.chosen"] == sum(metrics.transfers for metrics in agents)
+    assert counts["transfer.pruned"] == sum(metrics.prunes for metrics in agents)
+    assert 0 < counts["transfer.distractors"] <= counts["transfer.chosen"]

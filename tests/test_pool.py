@@ -15,6 +15,8 @@ from coopattr import (
     StateError,
     move_to_labeled,
     prune_from_labeled,
+    select_prunes,
+    select_transfers,
 )
 from coopattr.pool import LABELED, TEST, UNASSIGNED, UNLABELED
 
@@ -102,6 +104,12 @@ def test_move_to_labeled_rejects_duplicate_in_batch():
         move_to_labeled(pool, [3, 5, 3], [0, 0, 1], [1, 0])
 
 
+def test_prune_rejects_duplicate_in_batch():
+    pool = move_to_labeled(_pool({1}, {3, 5}, {4}), [3, 5], [0, 0], [1, 0])
+    with pytest.raises(StateError, match="moved twice"):
+        prune_from_labeled(pool, [5, 3, 5])
+
+
 def test_move_to_labeled_rejects_unknown_id():
     pool = _pool({1}, {3}, {4})
     with pytest.raises(StateError):
@@ -133,34 +141,60 @@ def test_move_to_labeled_rejects_malformed_arrays(ids, categories, bits):
         move_to_labeled(pool, ids, categories, bits)
 
 
+_TWO_ROWS = [[0.5, 0.5], [0.9, 0.1]]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # A float id or category is refused, not truncated to the integer below it.
+        pytest.param(lambda pool: move_to_labeled(pool, [3.7], [2], 0), id="move-id"),
+        pytest.param(lambda pool: move_to_labeled(pool, [3], [2.9], 0), id="move-category"),
+        pytest.param(lambda pool: move_to_labeled(pool, {3}, [2], 0), id="move-set"),
+        pytest.param(lambda pool: prune_from_labeled(pool, [1.2]), id="prune-id"),
+        pytest.param(lambda pool: prune_from_labeled(pool, {1}), id="prune-set"),
+        pytest.param(lambda pool: select_transfers([1.9, 3.2], _TWO_ROWS, 1), id="transfer-id"),
+        pytest.param(lambda pool: select_transfers({1, 3}, _TWO_ROWS, 1), id="transfer-set"),
+        pytest.param(lambda pool: select_prunes([1.9, 3.2], [0, 1], _TWO_ROWS, 1),
+                     id="prune-select-id"),
+        pytest.param(lambda pool: select_prunes([1, 3], [0.0, 1.5], _TWO_ROWS, 1),
+                     id="prune-select-category"),
+    ],
+)
+def test_ids_and_categories_must_be_integers(call):
+    pool = move_to_labeled(_pool(set(), {1, 3, 5}, {4}), [1], [0], 0)
+    with pytest.raises(ConfigurationError, match="must be integers"):
+        call(pool)
+
+
 def test_prune_returns_to_unlabeled_and_clears_assignment():
     pool = _pool({1}, {3}, {4})
     pool = move_to_labeled(pool, [3], [2], [1, 0])
-    pruned = prune_from_labeled(pool, {3})
+    pruned = prune_from_labeled(pool, [3])
     assert 3 in _ids(pruned, UNLABELED) and 3 not in pruned.labeled
     assert 3 not in pruned.assignments
 
 
 def test_prune_empty_is_identity():
     pool = _pool({1}, {3}, {4})
-    assert prune_from_labeled(pool, set()) is pool
+    assert prune_from_labeled(pool, []) is pool
 
 
 def test_prune_rejects_seed():
     pool = _pool({1}, {3}, {4})
     with pytest.raises(StateError):
-        prune_from_labeled(pool, {1})
+        prune_from_labeled(pool, [1])
 
 
 def test_prune_rejects_unknown_id():
     pool = _pool({1}, {3}, {4})
     with pytest.raises(StateError):
-        prune_from_labeled(pool, {99})
+        prune_from_labeled(pool, [99])
 
 
 def test_move_then_prune_restores_membership():
     pool = _pool({1}, {3, 7}, {4}, width=1)
-    after = prune_from_labeled(move_to_labeled(pool, [7], [1], [1]), {7})
+    after = prune_from_labeled(move_to_labeled(pool, [7], [1], [1]), [7])
     for name in ("ids", "split", "category", "bits", "seed"):
         assert np.array_equal(getattr(after, name), getattr(pool, name))
 
@@ -173,7 +207,7 @@ def test_random_op_sequences_conserve_totals(ops):
         if is_move and ex_id in _ids(pool, UNLABELED):
             pool = move_to_labeled(pool, [ex_id], [0], [1, 0])
         elif not is_move and ex_id in pool.labeled and ex_id not in (0, 1):
-            pool = prune_from_labeled(pool, {ex_id})
+            pool = prune_from_labeled(pool, [ex_id])
     assert pool.ids.tolist() == list(range(10))
     assert _ids(pool, TEST) == {8, 9}
     assert (pool.split[pool.seed] == LABELED).all() and pool.seed.sum() == 2

@@ -19,7 +19,7 @@ from coopattr import (
     estimate_matrix_from_labels,
     generate_noise_dataset,
     generate_world,
-    good_attribute_sets,
+    good_attribute_mask,
 )
 from coopattr.pool import LABELED, TEST, UNASSIGNED, UNLABELED, PoolState
 from coopattr.synthetic import _STREAM_CALIBRATION
@@ -65,7 +65,7 @@ def test_same_seed_gives_identical_worlds():
     for da, db in zip(a.domains, b.domains):
         for xa, xb in zip(_arrays(da), _arrays(db)):
             assert xa.dtype == xb.dtype and np.array_equal(xa, xb)
-    assert a.paired_test_ids == b.paired_test_ids
+    assert np.array_equal(a.paired_test_ids, b.paired_test_ids)
 
 
 def test_different_seed_changes_the_world():
@@ -114,8 +114,10 @@ def test_seed_examples_are_annotated_with_truth():
 def test_paired_test_examples_share_attribute_draws():
     world = generate_world(_world_config())
     d0, d1 = world.domains
-    pairs = np.array(world.paired_test_ids)
-    assert pairs.shape == (16, 2)
+    pairs = world.paired_test_ids
+    assert pairs.shape == (16, 2) and pairs.dtype == np.int64
+    with pytest.raises(ValueError):
+        pairs[0, 0] = 0
     for domain, ids in ((d0, pairs[:, 0]), (d1, pairs[:, 1])):
         assert (domain.pool.split[_rows(domain, ids)] == TEST).all()
     rows0, rows1 = _rows(d0, pairs[:, 0]), _rows(d1, pairs[:, 1])
@@ -175,14 +177,12 @@ def test_estimate_matrix_recovers_generator_rates():
     assert np.abs(estimated.values - cfg.ground_truth_matrix).max() <= 3 / np.sqrt(400)
 
 
-def test_good_attribute_sets_partition():
-    cfg = NoiseStudyConfig(n_attributes=6)
-    first, second = good_attribute_sets(cfg)
-    assert first | second == set(range(6))
-    assert first.isdisjoint(second)
-    assert good_attribute_sets(NoiseStudyConfig(n_attributes=5)) == (
-        frozenset({0, 1, 2}), frozenset({3, 4})
-    )
+def test_good_attribute_mask_partition():
+    mask = good_attribute_mask(NoiseStudyConfig(n_attributes=6))
+    assert mask.dtype == bool and mask.shape == (2, 6)
+    assert np.array_equal(mask[1], ~mask[0])
+    expected = [[True, True, True, False, False], [False, False, False, True, True]]
+    assert np.array_equal(good_attribute_mask(NoiseStudyConfig(n_attributes=5)), expected)
 
 
 def test_noise_dataset_zero_noise_predictions_equal_clamped_truth():
@@ -310,10 +310,10 @@ def test_calibration_hits_target_bands():
     assert 0.0 < sigma_good < sigma_bad
     cfg = NoiseStudyConfig(bad_noise_std=sigma_bad, test_count=4000, rng_seed=5)
     data = generate_noise_dataset(cfg)
-    good0, _ = good_attribute_sets(cfg)
+    good0 = good_attribute_mask(cfg)[0]
     hits = (data.predictions(cfg, sigma_good)[0] > 0.5) == data.test_attributes.astype(bool)
-    good_acc = hits[:, sorted(good0)].mean()
-    bad_acc = hits[:, sorted(set(range(10)) - good0)].mean()
+    good_acc = hits[:, good0].mean()
+    bad_acc = hits[:, ~good0].mean()
     assert good_acc > 0.80
     assert 0.50 <= bad_acc <= 0.65
 
@@ -321,8 +321,7 @@ def test_calibration_hits_target_bands():
 def test_noise_sweep_common_random_numbers():
     cfg = NoiseStudyConfig(rng_seed=3)
     data = generate_noise_dataset(cfg)
-    good0, _ = good_attribute_sets(cfg)
-    cols = sorted(good0)
+    cols = good_attribute_mask(cfg)[0]
     truth = data.test_attributes[:, cols].astype(float)
     p_low = data.predictions(cfg, 1.0)[0][:, cols]
     p_high = data.predictions(cfg, 2.0)[0][:, cols]
@@ -340,10 +339,10 @@ def test_noise_sweep_final_level_makes_attributes_indistinguishable():
     sigma_bad = calibrate_noise_std(0.575, rng_seed=1)
     cfg = NoiseStudyConfig(bad_noise_std=sigma_bad, test_count=5000, rng_seed=1)
     data = generate_noise_dataset(cfg)
-    good0, _ = good_attribute_sets(cfg)
+    good0 = good_attribute_mask(cfg)[0]
     hits = (data.predictions(cfg, sigma_bad)[0] > 0.5) == data.test_attributes.astype(bool)
-    good_acc = hits[:, sorted(good0)].mean()
-    bad_acc = hits[:, sorted(set(range(10)) - good0)].mean()
+    good_acc = hits[:, good0].mean()
+    bad_acc = hits[:, ~good0].mean()
     assert abs(good_acc - bad_acc) < 0.02
 
 

@@ -94,10 +94,16 @@ def _candidate_sets(draw):
 @given(_candidate_sets())
 def test_array_selection_matches_per_row_reference(case):
     ids, rows, categories, protected, count = case
-    assert select_transfers(ids, rows, count) == _reference_select_transfers(
+    chosen = select_transfers(ids, rows, count)
+    assert chosen.dtype == np.int64 and chosen.shape[1:] == (2,)
+    assert [tuple(pick) for pick in chosen.tolist()] == _reference_select_transfers(
         list(zip(ids, rows)), count
     )
-    assert select_prunes(ids, categories, rows, count, protected) == _reference_select_prunes(
+    # Seed protection lives in the caller: it passes only the open rows.
+    open_rows = ~np.isin(ids, protected)
+    pruned = select_prunes(ids[open_rows], categories[open_rows], rows[open_rows], count)
+    assert pruned.dtype == np.int64
+    assert pruned.tolist() == _reference_select_prunes(
         list(zip(ids, categories, rows)), count, protected
     )
 
@@ -139,21 +145,24 @@ def _binary(*ps):
 
 def test_select_transfers_takes_lowest_entropy_per_category():
     # 11 has the lowest entropy, 13 the highest.
-    assert select_transfers([11, 12, 13], _binary(0.95, 0.80, 0.55), 2) == [(11, 0), (12, 0)]
+    chosen = select_transfers([11, 12, 13], _binary(0.95, 0.80, 0.55), 2)
+    assert chosen.tolist() == [[11, 0], [12, 0]]
 
 
 def test_select_transfers_empty_group_yields_nothing():
     chosen = select_transfers([1], _binary(0.9), 2)
-    assert chosen == [(1, 0)]  # no candidate predicted category 1
+    assert chosen.tolist() == [[1, 0]]  # no candidate predicted category 1
 
 
 def test_select_transfers_without_candidates_is_empty():
     # A long run drains the unlabeled pool.
-    assert select_transfers([], np.empty((0, 3)), 2) == []
+    chosen = select_transfers([], np.empty((0, 3)), 2)
+    assert chosen.shape == (0, 2) and chosen.dtype == np.int64
+    assert select_prunes([], [], np.empty((0, 3)), 2).shape == (0,)
 
 
 def test_select_transfers_tie_breaks_to_lower_id():
-    assert select_transfers([20, 7, 15], _binary(0.8, 0.8, 0.8), 2) == [(7, 0), (15, 0)]
+    assert select_transfers([20, 7, 15], _binary(0.8, 0.8, 0.8), 2).tolist() == [[7, 0], [15, 0]]
 
 
 def test_select_transfers_no_duplicates_and_respects_count():
@@ -166,7 +175,7 @@ def test_select_transfers_no_duplicates_and_respects_count():
     for _, cat in chosen:
         per_cat[cat] = per_cat.get(cat, 0) + 1
     assert all(v <= 3 for v in per_cat.values())
-    assert select_transfers(np.arange(60), rows, 3) == chosen  # deterministic
+    assert np.array_equal(select_transfers(np.arange(60), rows, 3), chosen)  # deterministic
 
 
 def test_select_transfers_rejects_bad_count():
@@ -215,14 +224,10 @@ def test_derive_attribute_labels_matches_per_category_loop(seed, m, n, k):
 
 def test_select_prunes_takes_highest_entropy_non_seeds():
     rows = _binary(0.99, 0.95, 0.9, 0.8, 0.7, 0.6, 0.55, 0.51)
-    chosen = select_prunes(np.arange(8), np.zeros(8, dtype=int), rows, 6, protected_ids=())
-    assert sorted(chosen) == [2, 3, 4, 5, 6, 7]
-
-
-def test_select_prunes_protects_seeds():
-    assert select_prunes([1, 2], [0, 0], _binary(0.51, 0.52), 6, protected_ids={1, 2}) == []
+    chosen = select_prunes(np.arange(8), np.zeros(8, dtype=int), rows, 6)
+    assert sorted(chosen.tolist()) == [2, 3, 4, 5, 6, 7]
 
 
 def test_select_prunes_tie_breaks_to_lower_id():
     rows = _binary(0.6, 0.6, 0.6)
-    assert select_prunes([9, 4, 6], [1, 1, 1], rows, 2, protected_ids=()) == [4, 6]
+    assert select_prunes([9, 4, 6], [1, 1, 1], rows, 2).tolist() == [4, 6]
