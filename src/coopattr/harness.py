@@ -11,6 +11,13 @@ vector Q for weighted fusion, as one ``encode_message`` byte string (the
 ``.catm`` wire format), and fuses its own matrix with the
 ``decode_message`` of its peer's bytes. The float64 round trip is exact.
 
+Where forking is safe (``_fork_is_safe``: Linux, one thread in the
+process), the two agents' fits run at the same time: each iteration a forked
+worker process fits agent 1's banks while this process fits agent 0's (see
+``_PeerWorker``). Only the fit crosses the process boundary; everything else,
+the barrier included, runs here in the same order as the serial loop that
+runs otherwise, so the records are the same either way.
+
 Variants:
 
 * ``SSL_IND``: plain self-training per agent, feature-category view only.
@@ -28,6 +35,8 @@ Variants:
 from __future__ import annotations
 
 import enum
+import os
+import pickle
 from dataclasses import dataclass, replace
 from statistics import fmean
 
@@ -36,6 +45,8 @@ import numpy as np
 from .crf import crf_posterior_batch, estimate_matrix_from_labels
 from .errors import ConfigurationError, StateError
 from .linear import (
+    AttributeModelBank,
+    CategoryModelBank,
     TrainConfig,
     attribute_accuracy_arrays,
     train_banks,
@@ -164,24 +175,161 @@ def _features_for(domain, ids):
     return domain.features[np.searchsorted(domain.ids, ids)]
 
 
-def _train_agent(run, world, cfg: LoopConfig, aware: bool, weighted: bool):
-    n_cat = world.config.n_categories
-    n_attr = world.config.n_attributes
-    pool, domain = run.pool, run.domain
+def _labeled_rows(run, aware: bool):
+    """The features, categories and (attribute-aware variants only) bits of
+    the agent's labeled rows, in id order; the bits are None otherwise."""
+    pool = run.pool
     labeled = pool.split == LABELED
-    features, categories = domain.features[labeled], pool.category[labeled]
-    if not aware:
-        run.category_bank = train_category_bank(features, categories, n_cat, cfg.train)
-    else:
-        attributes = pool.bits[labeled]
-        run.category_bank, run.attribute_bank = train_banks(
-            features, categories, attributes, n_cat, cfg.train
+    bits = pool.bits[labeled] if aware else None
+    return run.domain.features[labeled], pool.category[labeled], bits
+
+
+def _fit_banks(features, categories, attributes, n_categories: int, config: TrainConfig):
+    """The category bank, and the attribute bank unless ``attributes`` is None."""
+    if attributes is None:
+        return (train_category_bank(features, categories, n_categories, config),)
+    return train_banks(features, categories, attributes, n_categories, config)
+
+
+def _set_banks(run, world, banks, categories, attributes, weighted: bool):
+    """Install freshly fitted banks, then the matrix and Q that derive from them."""
+    run.category_bank = banks[0]
+    if attributes is None:
+        return
+    run.attribute_bank = banks[1]
+    n_cat, n_attr = world.config.n_categories, world.config.n_attributes
+    run.matrix = estimate_matrix_from_labels(categories, attributes, n_cat, n_attr)
+    if weighted:
+        pool, domain = run.pool, run.domain
+        run.q = attribute_accuracy_arrays(
+            run.attribute_bank, domain.features[pool.seed], domain.true_bits[pool.seed]
         )
-        run.matrix = estimate_matrix_from_labels(categories, attributes, n_cat, n_attr)
-        if weighted:
-            run.q = attribute_accuracy_arrays(
-                run.attribute_bank, domain.features[pool.seed], domain.true_bits[pool.seed]
-            )
+
+
+def _train_agent(run, world, cfg: LoopConfig, aware: bool, weighted: bool):
+    features, categories, attributes = _labeled_rows(run, aware)
+    banks = _fit_banks(features, categories, attributes, world.config.n_categories, cfg.train)
+    _set_banks(run, world, banks, categories, attributes, weighted)
+
+
+def _send(fd: int, message) -> None:
+    view = memoryview(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _serve(requests: int, replies: int) -> None:
+    """The worker's loop: fit each ``_fit_banks`` request and reply with
+    ``(True, [(weights, bias), ...])`` or ``(False, error)``, until the parent
+    closes its end of the request pipe."""
+    with os.fdopen(requests, "rb") as reader:
+        while True:
+            try:
+                request = pickle.load(reader)
+            except EOFError:
+                return
+            try:
+                reply = (True, [(bank.weights, bank.bias) for bank in _fit_banks(*request)])
+            except Exception as error:  # re-raised by the parent, as a serial fit raises it
+                reply = (False, error)
+            _send(replies, reply)
+
+
+class _PeerWorker:
+    """A forked process that fits one agent's banks while the caller fits the other's.
+
+    Requests and replies are pickles on two pipes; only this process and its
+    worker write them. A request is ``_fit_banks``'s arguments and a reply is
+    each bank's (weights, bias) arrays, from which ``result`` rebuilds the
+    read-only banks. The fit is the same code on the same bytes as in this
+    process, so its bits are too. ``close`` must follow, in a ``finally``.
+    """
+
+    def __init__(self):
+        request_r, self._requests = os.pipe()
+        self._replies, reply_w = os.pipe()
+        try:
+            self._pid = os.fork()
+        except OSError:
+            for fd in (request_r, self._requests, self._replies, reply_w):
+                os.close(fd)
+            raise
+        if self._pid == 0:
+            status = 1
+            try:
+                # The parent's uncollected cycles are its to finalize, not the
+                # worker's (a temporary file's finalizer deletes the file).
+                import gc
+
+                gc.disable()
+                os.close(self._requests)
+                os.close(self._replies)
+                _serve(request_r, reply_w)
+                status = 0
+            finally:
+                # Never return into the parent's code, nor run its exit handlers.
+                os._exit(status)
+        os.close(request_r)
+        os.close(reply_w)
+        self._reader = os.fdopen(self._replies, "rb")
+
+    def submit(self, *request) -> None:
+        try:
+            _send(self._requests, request)
+        except BrokenPipeError as exc:
+            raise StateError("the peer's fit worker has exited") from exc
+
+    def result(self):
+        """The banks of the last request, or the error its fit raised."""
+        try:
+            ok, value = pickle.load(self._reader)
+        except (EOFError, pickle.UnpicklingError) as exc:
+            raise StateError("the peer's fit worker exited before it replied") from exc
+        if not ok:
+            raise value
+        return tuple(
+            kind(weights, bias)
+            for kind, (weights, bias) in zip((CategoryModelBank, AttributeModelBank), value)
+        )
+
+    def close(self) -> None:
+        """Kill and reap the worker. It holds nothing worth saving, and a
+        killed worker cannot keep the wait from returning."""
+        import signal  # here, so that ``import coopattr`` does not load it
+
+        try:
+            os.close(self._requests)
+            self._reader.close()
+        finally:
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+
+
+def _fork_is_safe() -> bool:
+    """Whether ``run_experiment`` may fork its peer worker: the system lists
+    this process's threads in /proc (Linux), and there is one. A forked child
+    copies the locks that other threads hold but not the threads that would
+    release them, and from Python 3.12 ``os.fork`` warns in a process with
+    more threads (an unpinned OpenBLAS keeps a pool)."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _train_agents(runs, worker, world, cfg: LoopConfig, aware: bool, weighted: bool):
+    """Train both agents: one after the other, or with agent 1's fit in
+    ``worker`` while agent 0's runs here. A peer error surfaces after any
+    error of agent 0, as in the serial loop."""
+    own, peer = runs
+    if worker is None:
+        _train_agent(own, world, cfg, aware, weighted)
+        _train_agent(peer, world, cfg, aware, weighted)
+        return
+    features, categories, attributes = _labeled_rows(peer, aware)
+    worker.submit(features, categories, attributes, world.config.n_categories, cfg.train)
+    _train_agent(own, world, cfg, aware, weighted)
+    _set_banks(peer, world, worker.result(), categories, attributes, weighted)
 
 
 def _agent_posterior(run, features, aware: bool, n_categories: int):
@@ -302,44 +450,48 @@ def run_experiment(
     n_categories = world.config.n_categories
     runs = [_AgentRun(domain) for domain in world.domains]
     records = []
-    for t in range(1, iterations + 1):
-        for run in runs:
-            _train_agent(run, world, cfg, aware, weighted)
-        if cooperative:
-            sent = [
-                encode_message(MatrixMessage(k, t, run.matrix, run.q))
-                for k, run in enumerate(runs)
-            ]
-            for k, run in enumerate(runs):
-                peer = decode_message(sent[1 - k])
-                if weighted:
-                    run.matrix = fuse_weighted(
-                        (run.matrix, run.q), [(peer.matrix, peer.accuracy_vector)]
-                    )
-                else:
-                    run.matrix = fuse_uniform(run.matrix, [peer.matrix])
-        moved = [_advance_agent(run, t, cfg, aware, n_categories) for run in runs]
-        ensemble_accuracy = (
-            _ensemble_test_accuracy(runs, world)
-            if variant is LearnerVariant.ENSEMBLE_IND
-            else None
-        )
-        agent_metrics = []
-        for run, (transfers, prunes) in zip(runs, moved):
-            if ensemble_accuracy is None:
-                accuracy, attribute_accuracy = _agent_test_metrics(run, aware, n_categories)
-            else:
-                accuracy, attribute_accuracy = ensemble_accuracy, None
-            agent_metrics.append(
-                AgentMetrics(
-                    accuracy=accuracy,
-                    purity=compute_purity(run.pool, run.domain.true_category),
-                    attribute_accuracy=attribute_accuracy,
-                    transfers=transfers,
-                    prunes=prunes,
-                )
+    worker = _PeerWorker() if _fork_is_safe() else None
+    try:
+        for t in range(1, iterations + 1):
+            _train_agents(runs, worker, world, cfg, aware, weighted)
+            if cooperative:
+                sent = [
+                    encode_message(MatrixMessage(k, t, run.matrix, run.q))
+                    for k, run in enumerate(runs)
+                ]
+                for k, run in enumerate(runs):
+                    received = decode_message(sent[1 - k])
+                    if weighted:
+                        run.matrix = fuse_weighted(
+                            (run.matrix, run.q), [(received.matrix, received.accuracy_vector)]
+                        )
+                    else:
+                        run.matrix = fuse_uniform(run.matrix, [received.matrix])
+            moved = [_advance_agent(run, t, cfg, aware, n_categories) for run in runs]
+            ensemble_accuracy = (
+                _ensemble_test_accuracy(runs, world)
+                if variant is LearnerVariant.ENSEMBLE_IND
+                else None
             )
-        records.append(IterationRecord(iteration=t, agents=tuple(agent_metrics)))
+            agent_metrics = []
+            for run, (transfers, prunes) in zip(runs, moved):
+                if ensemble_accuracy is None:
+                    accuracy, attribute_accuracy = _agent_test_metrics(run, aware, n_categories)
+                else:
+                    accuracy, attribute_accuracy = ensemble_accuracy, None
+                agent_metrics.append(
+                    AgentMetrics(
+                        accuracy=accuracy,
+                        purity=compute_purity(run.pool, run.domain.true_category),
+                        attribute_accuracy=attribute_accuracy,
+                        transfers=transfers,
+                        prunes=prunes,
+                    )
+                )
+            records.append(IterationRecord(iteration=t, agents=tuple(agent_metrics)))
+    finally:
+        if worker is not None:
+            worker.close()
     return records
 
 

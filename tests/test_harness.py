@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import os
+import subprocess
+import sys
+import threading
 from pathlib import Path
 from statistics import fmean
 
@@ -21,6 +25,7 @@ from coopattr import (
     SplitSizes,
     SyntheticWorldConfig,
     TrainConfig,
+    TrainingError,
     compute_class_average_accuracy,
     compute_purity,
     derive_attribute_labels,
@@ -449,6 +454,173 @@ def test_thread_env_does_not_change_results(small_world, monkeypatch):
     monkeypatch.setenv("COOPATTR_THREADS", "2")
     threaded = run_experiment(LearnerVariant.COOPERATIVE_UNIFORM, small_world, 4, _FAST)
     assert base == threaded
+
+
+# The peer worker is forked only in a process with one thread, and pytest's
+# may have more (an unpinned BLAS keeps a thread pool), so each case below
+# runs in a fresh interpreter whose BLAS keeps one thread.
+_BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_LOOPING = [v for v in LearnerVariant if v is not LearnerVariant.MAX_ACCURACY_UPPER_BOUND]
+
+
+def _run_in_one_thread(case, *args):
+    here = Path(__file__).resolve().parent
+    src = Path(harness.__file__).resolve().parents[1]
+    env = {**os.environ, **dict.fromkeys(_BLAS_ENV, "1"), "PYTHONPATH": str(src)}
+    # ``-c`` puts the working directory, this module's, first on the path.
+    code = f"import {Path(__file__).stem} as cases; cases.{case.__name__}(*{args!r})"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=here, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _count_forks():
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    os.fork = counted
+    return forks
+
+
+def _case_forked_and_serial_records_match(variant_name):
+    variant, world = LearnerVariant[variant_name], generate_world(_small_config())
+    assert harness._fork_is_safe()
+    forks = _count_forks()
+    forked = run_experiment(variant, world, 4, _FAST)
+    assert len(forks) == 1
+    _assert_no_child_left()
+    # While another thread runs, forking is unsafe and the serial loop runs.
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert not harness._fork_is_safe()
+        serial = run_experiment(variant, world, 4, _FAST)
+    finally:
+        stop.set()
+        thread.join()
+    assert len(forks) == 1
+    assert serial == forked
+
+
+def _case_fit_error_matches_serial(variant_name, failing_agent):
+    variant, world = LearnerVariant[variant_name], generate_world(_small_config())
+    # Patched before the fork, so the worker fits through it too; the agents'
+    # feature dimensions (6 and 5) tell them apart.
+    dim = world.domains[failing_agent].features.shape[1]
+    for name in ("train_category_bank", "train_banks"):
+
+        def fit(features, *args, _original=getattr(harness, name), _name=name):
+            if features.shape[1] == dim:
+                raise TrainingError(f"{_name}: category 1 has no labeled examples")
+            return _original(features, *args)
+
+        setattr(harness, name, fit)
+    aware = variant is not LearnerVariant.SSL_IND
+    runs = [harness._AgentRun(domain) for domain in world.domains]
+    with pytest.raises(TrainingError) as serial:
+        harness._train_agents(runs, None, world, _FAST, aware, weighted=aware)
+    forks = _count_forks()
+    with pytest.raises(TrainingError) as forked:
+        run_experiment(variant, world, 3, _FAST)
+    assert len(forks) == 1
+    assert type(forked.value) is type(serial.value)
+    assert str(forked.value) == str(serial.value)
+    _assert_no_child_left()
+
+
+def _case_dead_worker_raises_state_error(fatal_call):
+    world, parent, original = generate_world(_small_config()), os.getpid(), harness.train_banks
+    worker_calls = []
+
+    def fit(*args):
+        if os.getpid() != parent:
+            worker_calls.append(1)  # the worker's own copy of the list
+            if len(worker_calls) == fatal_call:
+                os._exit(3)
+        return original(*args)
+
+    harness.train_banks = fit
+    with pytest.raises(StateError, match="worker"):
+        run_experiment(LearnerVariant.MULTIVIEW_IND, world, 3, _FAST)
+    _assert_no_child_left()
+
+
+def _case_stuck_worker_is_reaped_after_an_error():
+    world, parent = generate_world(_small_config()), os.getpid()
+
+    def fit(*args):
+        if os.getpid() != parent:
+            threading.Event().wait()  # never returns
+        raise TrainingError("agent 0 failed")
+
+    harness.train_banks = fit
+    with pytest.raises(TrainingError, match="agent 0"):
+        run_experiment(LearnerVariant.MULTIVIEW_IND, world, 3, _FAST)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("variant", _LOOPING, ids=lambda v: v.name)
+def test_forked_peer_fit_gives_the_serial_records(variant):
+    _run_in_one_thread(_case_forked_and_serial_records_match, variant.name)
+
+
+@pytest.mark.parametrize("failing_agent", [0, 1])
+@pytest.mark.parametrize(
+    "variant", [LearnerVariant.SSL_IND, LearnerVariant.COOPERATIVE_WEIGHTED], ids=lambda v: v.name
+)
+def test_fit_error_is_raised_as_a_serial_loop_raises_it(variant, failing_agent):
+    _run_in_one_thread(_case_fit_error_matches_serial, variant.name, failing_agent)
+
+
+@pytest.mark.parametrize("fatal_call", [1, 2])
+def test_dead_peer_worker_raises_state_error(fatal_call):
+    _run_in_one_thread(_case_dead_worker_raises_state_error, fatal_call)
+
+
+def test_stuck_peer_worker_is_reaped_after_an_error():
+    _run_in_one_thread(_case_stuck_worker_is_reaped_after_an_error)
+
+
+def test_import_starts_no_process():
+    # Run in a fresh interpreter: the import must fork nothing and leave out
+    # the modules of processes and signals, whose import costs set-up time
+    # and memory (multiprocessing ~1 MB, signal ~1 ms).
+    code = (
+        "import os, sys, threading\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('import started a process')\n"
+        "for name in ('fork', 'forkpty', 'posix_spawn', 'posix_spawnp', 'system'):\n"
+        "    setattr(os, name, refuse)\n"
+        "import coopattr\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+        "assert 'subprocess' not in sys.modules\n"
+        "assert 'signal' not in sys.modules\n"
+        "assert threading.active_count() == 1\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('import left a child process')\n"
+    )
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize(
