@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, FeasibilityError
-from .pool import AttributeCategoryMatrix, CategoryPosterior
+from .pool import AttributeCategoryMatrix, CategoryPosterior, _int_array
 
 #: Matrix entries are exact fractions in storage; they are clamped into
 #: (0, 1) only at inference time so no message factor can be exactly zero.
@@ -44,7 +44,7 @@ def estimate_matrix_from_labels(
     """
     if n_categories <= 0 or n_attributes <= 0:
         raise ConfigurationError("n_categories and n_attributes must be positive")
-    categories = np.asarray(categories, dtype=int)
+    categories = _int_array(categories, "category labels")
     attributes = np.asarray(attributes, dtype=float)
     if attributes.ndim != 2 or attributes.shape != (categories.shape[0], n_attributes):
         raise ConfigurationError("attributes must be (n_examples, n_attributes)")

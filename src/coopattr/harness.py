@@ -60,6 +60,7 @@ from .pool import (
     UNASSIGNED,
     UNLABELED,
     PoolState,
+    _int_array,
     move_to_labeled,
     prune_from_labeled,
 )
@@ -143,8 +144,8 @@ def compute_purity(pool: PoolState, true_category) -> float:
 
 def compute_class_average_accuracy(predictions, truths, n_categories: int) -> float:
     """Mean over categories of the per-category test accuracy."""
-    predictions = np.asarray(predictions, dtype=int)
-    truths = np.asarray(truths, dtype=int)
+    predictions = _int_array(predictions, "predictions")
+    truths = _int_array(truths, "truths")
     if predictions.shape != truths.shape:
         raise ConfigurationError("predictions and truths differ in length")
     if truths.size == 0 or truths.min() < 0 or truths.max() >= n_categories:
@@ -370,64 +371,50 @@ def _advance_agent(run, t: int, cfg: LoopConfig, aware: bool, n_categories: int)
     return transfers, prunes
 
 
-def _agent_test_metrics(run, aware: bool, n_categories: int):
+def _agent_metrics(run, aware: bool, n_categories: int, moved=(0, 0), accuracy=None):
+    """One agent's record, given its ``moved`` (transfers, prunes) counts. Its
+    own posteriors score the test set unless ``accuracy`` (the ensemble's) is
+    given; attribute accuracy is None then, and for attribute-blind agents."""
     domain = run.domain
-    test = run.pool.split == TEST
-    features = domain.features[test]
-    posteriors = _agent_posterior(run, features, aware, n_categories)
-    accuracy = compute_class_average_accuracy(
-        np.argmax(posteriors, axis=1), domain.true_category[test], n_categories
-    )
     attribute_accuracy = None
-    if aware:
-        attribute_accuracy = tuple(
-            float(v)
-            for v in attribute_accuracy_arrays(
-                run.attribute_bank, features, domain.true_bits[test]
-            )
+    if accuracy is None:
+        test = run.pool.split == TEST
+        features = domain.features[test]
+        posteriors = _agent_posterior(run, features, aware, n_categories)
+        accuracy = compute_class_average_accuracy(
+            np.argmax(posteriors, axis=1), domain.true_category[test], n_categories
         )
-    return accuracy, attribute_accuracy
+        if aware:
+            rates = attribute_accuracy_arrays(run.attribute_bank, features, domain.true_bits[test])
+            attribute_accuracy = tuple(rates.tolist())
+    transfers, prunes = moved
+    purity = compute_purity(run.pool, domain.true_category)
+    return AgentMetrics(accuracy, purity, attribute_accuracy, transfers, prunes)
 
 
 def _ensemble_test_accuracy(runs, world) -> float:
-    n_categories = world.config.n_categories
     pairs = world.paired_test_ids
-    mean_posterior = None
-    for agent, run in enumerate(runs):
-        posterior = run.category_bank.posterior_batch(_features_for(run.domain, pairs[:, agent]))
-        mean_posterior = posterior if mean_posterior is None else mean_posterior + posterior
-    mean_posterior /= len(runs)
+    p0, p1 = (
+        run.category_bank.posterior_batch(_features_for(run.domain, pairs[:, agent]))
+        for agent, run in enumerate(runs)
+    )
     first = runs[0].domain
     truths = first.true_category[np.searchsorted(first.ids, pairs[:, 0])]
     return compute_class_average_accuracy(
-        np.argmax(mean_posterior, axis=1), truths, n_categories
+        np.argmax((p0 + p1) / 2, axis=1), truths, world.config.n_categories
     )
 
 
 def _run_upper_bound(world, iterations: int, cfg: LoopConfig) -> list[IterationRecord]:
     n_cat = world.config.n_categories
-    n_attr = world.config.n_attributes
     metrics = []
     for domain in world.domains:
         rows = (domain.pool.split != TEST) & (domain.true_category != DISTRACTOR)
-        categories = domain.true_category[rows]
-        attributes = domain.true_bits[rows]
+        categories, attributes = domain.true_category[rows], domain.true_bits[rows]
         run = _AgentRun(domain)
-        run.category_bank, run.attribute_bank = train_banks(
-            domain.features[rows], categories, attributes, n_cat, cfg.train
-        )
-        run.matrix = estimate_matrix_from_labels(categories, attributes, n_cat, n_attr)
-        accuracy, attribute_accuracy = _agent_test_metrics(run, True, n_cat)
-        purity = compute_purity(domain.pool, domain.true_category)
-        metrics.append(
-            AgentMetrics(
-                accuracy=accuracy,
-                purity=purity,
-                attribute_accuracy=attribute_accuracy,
-                transfers=0,
-                prunes=0,
-            )
-        )
+        banks = _fit_banks(domain.features[rows], categories, attributes, n_cat, cfg.train)
+        _set_banks(run, world, banks, categories, attributes, weighted=False)
+        metrics.append(_agent_metrics(run, True, n_cat))
     frozen = tuple(metrics)
     return [IterationRecord(iteration=t, agents=frozen) for t in range(1, iterations + 1)]
 
@@ -447,6 +434,7 @@ def run_experiment(
     aware = variant in _ATTRIBUTE_AWARE
     weighted = variant is LearnerVariant.COOPERATIVE_WEIGHTED
     cooperative = weighted or variant is LearnerVariant.COOPERATIVE_UNIFORM
+    ensemble = variant is LearnerVariant.ENSEMBLE_IND
     n_categories = world.config.n_categories
     runs = [_AgentRun(domain) for domain in world.domains]
     records = []
@@ -468,27 +456,12 @@ def run_experiment(
                     else:
                         run.matrix = fuse_uniform(run.matrix, [received.matrix])
             moved = [_advance_agent(run, t, cfg, aware, n_categories) for run in runs]
-            ensemble_accuracy = (
-                _ensemble_test_accuracy(runs, world)
-                if variant is LearnerVariant.ENSEMBLE_IND
-                else None
+            accuracy = _ensemble_test_accuracy(runs, world) if ensemble else None
+            agents = tuple(
+                _agent_metrics(run, aware, n_categories, m, accuracy)
+                for run, m in zip(runs, moved)
             )
-            agent_metrics = []
-            for run, (transfers, prunes) in zip(runs, moved):
-                if ensemble_accuracy is None:
-                    accuracy, attribute_accuracy = _agent_test_metrics(run, aware, n_categories)
-                else:
-                    accuracy, attribute_accuracy = ensemble_accuracy, None
-                agent_metrics.append(
-                    AgentMetrics(
-                        accuracy=accuracy,
-                        purity=compute_purity(run.pool, run.domain.true_category),
-                        attribute_accuracy=attribute_accuracy,
-                        transfers=transfers,
-                        prunes=prunes,
-                    )
-                )
-            records.append(IterationRecord(iteration=t, agents=tuple(agent_metrics)))
+            records.append(IterationRecord(iteration=t, agents=agents))
     finally:
         if worker is not None:
             worker.close()

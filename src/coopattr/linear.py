@@ -14,6 +14,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, StateError, TrainingError
+from .pool import _int_array
 
 #: Probabilities are clamped into [PROB_CLAMP, 1 - PROB_CLAMP] so no factor in
 #: downstream products can reach exactly 0 or 1.
@@ -150,7 +151,7 @@ def _category_targets(features, categories, n_categories: int):
     if n_categories < 2:
         raise ConfigurationError("need at least two categories for one-vs-rest training")
     features = _feature_matrix(features, "features")
-    categories = np.asarray(categories, dtype=int)
+    categories = _int_array(categories, "category labels")
     if categories.shape != (features.shape[0],):
         raise ConfigurationError("one category label per feature row required")
     if categories.min() < 0 or categories.max() >= n_categories:

@@ -73,7 +73,7 @@ def derive_attribute_labels(matrix: AttributeCategoryMatrix, categories) -> np.n
     A scalar category gives a single row. The threshold is strict, so a rate
     of exactly 0.5 yields 0.
     """
-    categories = np.asarray(categories, dtype=np.int64)
+    categories = _int_array(categories, "categories")
     if categories.size and not 0 <= categories.min() <= categories.max() < matrix.n_categories:
         raise ConfigurationError(f"category out of range for {matrix.n_categories} categories")
     return (matrix.values[:, categories].T > 0.5).astype(np.int8)

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib.util
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -449,76 +451,86 @@ def test_default_noise_sweep_rejects_bad_target_pair(good, bad, monkeypatch):
         default_noise_sweep(good_accuracy_target=good, bad_accuracy_target=bad)
 
 
-def test_thread_env_does_not_change_results(small_world, monkeypatch):
-    base = run_experiment(LearnerVariant.COOPERATIVE_UNIFORM, small_world, 4, _FAST)
-    monkeypatch.setenv("COOPATTR_THREADS", "2")
-    threaded = run_experiment(LearnerVariant.COOPERATIVE_UNIFORM, small_world, 4, _FAST)
-    assert base == threaded
-
-
-# The peer worker is forked only in a process with one thread, and pytest's
-# may have more (an unpinned BLAS keeps a thread pool), so each case below
-# runs in a fresh interpreter whose BLAS keeps one thread.
-_BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _LOOPING = [v for v in LearnerVariant if v is not LearnerVariant.MAX_ACCURACY_UPPER_BOUND]
 
 
-def _run_in_one_thread(case, *args):
-    here = Path(__file__).resolve().parent
-    src = Path(harness.__file__).resolve().parents[1]
-    env = {**os.environ, **dict.fromkeys(_BLAS_ENV, "1"), "PYTHONPATH": str(src)}
-    # ``-c`` puts the working directory, this module's, first on the path.
-    code = f"import {Path(__file__).stem} as cases; cases.{case.__name__}(*{args!r})"
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        cwd=here, env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _count_forks():
-    forks = []
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of each process ``os.fork`` starts during the test. None may be
+    left unreaped afterwards; one that is gets killed, so that a failing case
+    cannot leave it running."""
+    pids = []
     fork = os.fork
 
     def counted():
-        forks.append(os.getpid())
-        return fork()
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    os.fork = counted
-    return forks
+    monkeypatch.setattr(os, "fork", counted)
+    yield pids
+    left = []
+    for pid in pids:
+        try:
+            done, _ = os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue  # reaped by run_experiment
+        left.append(pid)
+        if not done:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    assert not left, f"workers left unreaped: {left}"
 
 
-def _case_forked_and_serial_records_match(variant_name):
-    variant, world = LearnerVariant[variant_name], generate_world(_small_config())
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Raise ``TimeoutError`` in this thread if the block runs past ``seconds``,
+    even from inside a blocking wait."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("variant", _LOOPING, ids=lambda v: v.name)
+def test_forked_peer_fit_gives_the_serial_records(variant, small_world, forks):
+    # The session's BLAS keeps one thread (conftest.py), so this process may fork.
     assert harness._fork_is_safe()
-    forks = _count_forks()
-    forked = run_experiment(variant, world, 4, _FAST)
+    forked = run_experiment(variant, small_world, 4, _FAST)
     assert len(forks) == 1
-    _assert_no_child_left()
     # While another thread runs, forking is unsafe and the serial loop runs.
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
         assert not harness._fork_is_safe()
-        serial = run_experiment(variant, world, 4, _FAST)
+        serial = run_experiment(variant, small_world, 4, _FAST)
     finally:
         stop.set()
-        thread.join()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
     assert len(forks) == 1
     assert serial == forked
 
 
-def _case_fit_error_matches_serial(variant_name, failing_agent):
-    variant, world = LearnerVariant[variant_name], generate_world(_small_config())
+@pytest.mark.parametrize("failing_agent", [0, 1])
+@pytest.mark.parametrize(
+    "variant", [LearnerVariant.SSL_IND, LearnerVariant.COOPERATIVE_WEIGHTED], ids=lambda v: v.name
+)
+def test_fit_error_is_raised_as_a_serial_loop_raises_it(
+    variant, failing_agent, small_world, forks, monkeypatch
+):
     # Patched before the fork, so the worker fits through it too; the agents'
     # feature dimensions (6 and 5) tell them apart.
-    dim = world.domains[failing_agent].features.shape[1]
+    dim = small_world.domains[failing_agent].features.shape[1]
     for name in ("train_category_bank", "train_banks"):
 
         def fit(features, *args, _original=getattr(harness, name), _name=name):
@@ -526,22 +538,21 @@ def _case_fit_error_matches_serial(variant_name, failing_agent):
                 raise TrainingError(f"{_name}: category 1 has no labeled examples")
             return _original(features, *args)
 
-        setattr(harness, name, fit)
+        monkeypatch.setattr(harness, name, fit)
     aware = variant is not LearnerVariant.SSL_IND
-    runs = [harness._AgentRun(domain) for domain in world.domains]
+    runs = [harness._AgentRun(domain) for domain in small_world.domains]
     with pytest.raises(TrainingError) as serial:
-        harness._train_agents(runs, None, world, _FAST, aware, weighted=aware)
-    forks = _count_forks()
+        harness._train_agents(runs, None, small_world, _FAST, aware, weighted=aware)
     with pytest.raises(TrainingError) as forked:
-        run_experiment(variant, world, 3, _FAST)
+        run_experiment(variant, small_world, 3, _FAST)
     assert len(forks) == 1
     assert type(forked.value) is type(serial.value)
     assert str(forked.value) == str(serial.value)
-    _assert_no_child_left()
 
 
-def _case_dead_worker_raises_state_error(fatal_call):
-    world, parent, original = generate_world(_small_config()), os.getpid(), harness.train_banks
+@pytest.mark.parametrize("fatal_call", [1, 2])
+def test_dead_peer_worker_raises_state_error(fatal_call, small_world, forks, monkeypatch):
+    parent, original = os.getpid(), harness.train_banks
     worker_calls = []
 
     def fit(*args):
@@ -551,46 +562,25 @@ def _case_dead_worker_raises_state_error(fatal_call):
                 os._exit(3)
         return original(*args)
 
-    harness.train_banks = fit
+    monkeypatch.setattr(harness, "train_banks", fit)
     with pytest.raises(StateError, match="worker"):
-        run_experiment(LearnerVariant.MULTIVIEW_IND, world, 3, _FAST)
-    _assert_no_child_left()
+        run_experiment(LearnerVariant.MULTIVIEW_IND, small_world, 3, _FAST)
+    assert len(forks) == 1
 
 
-def _case_stuck_worker_is_reaped_after_an_error():
-    world, parent = generate_world(_small_config()), os.getpid()
+def test_stuck_peer_worker_is_reaped_after_an_error(small_world, forks, monkeypatch):
+    parent = os.getpid()
 
     def fit(*args):
         if os.getpid() != parent:
             threading.Event().wait()  # never returns
         raise TrainingError("agent 0 failed")
 
-    harness.train_banks = fit
-    with pytest.raises(TrainingError, match="agent 0"):
-        run_experiment(LearnerVariant.MULTIVIEW_IND, world, 3, _FAST)
-    _assert_no_child_left()
-
-
-@pytest.mark.parametrize("variant", _LOOPING, ids=lambda v: v.name)
-def test_forked_peer_fit_gives_the_serial_records(variant):
-    _run_in_one_thread(_case_forked_and_serial_records_match, variant.name)
-
-
-@pytest.mark.parametrize("failing_agent", [0, 1])
-@pytest.mark.parametrize(
-    "variant", [LearnerVariant.SSL_IND, LearnerVariant.COOPERATIVE_WEIGHTED], ids=lambda v: v.name
-)
-def test_fit_error_is_raised_as_a_serial_loop_raises_it(variant, failing_agent):
-    _run_in_one_thread(_case_fit_error_matches_serial, variant.name, failing_agent)
-
-
-@pytest.mark.parametrize("fatal_call", [1, 2])
-def test_dead_peer_worker_raises_state_error(fatal_call):
-    _run_in_one_thread(_case_dead_worker_raises_state_error, fatal_call)
-
-
-def test_stuck_peer_worker_is_reaped_after_an_error():
-    _run_in_one_thread(_case_stuck_worker_is_reaped_after_an_error)
+    monkeypatch.setattr(harness, "train_banks", fit)
+    # Without the bound, a worker that close() fails to kill hangs the session.
+    with _deadline(10), pytest.raises(TrainingError, match="agent 0"):
+        run_experiment(LearnerVariant.MULTIVIEW_IND, small_world, 3, _FAST)
+    assert len(forks) == 1
 
 
 def test_import_starts_no_process():

@@ -13,10 +13,15 @@ from coopattr import (
     ConfigurationError,
     PoolState,
     StateError,
+    compute_class_average_accuracy,
+    derive_attribute_labels,
+    estimate_matrix_from_labels,
     move_to_labeled,
     prune_from_labeled,
     select_prunes,
     select_transfers,
+    train_banks,
+    train_category_bank,
 )
 from coopattr.pool import LABELED, TEST, UNASSIGNED, UNLABELED
 
@@ -142,12 +147,15 @@ def test_move_to_labeled_rejects_malformed_arrays(ids, categories, bits):
 
 
 _TWO_ROWS = [[0.5, 0.5], [0.9, 0.1]]
+_FOUR_ROWS = np.arange(8.0).reshape(4, 2)
+_FLOAT_CATEGORIES = [0.2, 1.2, 0.7, 1.9]
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        # A float id or category is refused, not truncated to the integer below it.
+        # A float id, category or prediction is refused, not truncated to the
+        # integer below it.
         pytest.param(lambda pool: move_to_labeled(pool, [3.7], [2], 0), id="move-id"),
         pytest.param(lambda pool: move_to_labeled(pool, [3], [2.9], 0), id="move-category"),
         pytest.param(lambda pool: move_to_labeled(pool, {3}, [2], 0), id="move-set"),
@@ -159,6 +167,18 @@ _TWO_ROWS = [[0.5, 0.5], [0.9, 0.1]]
                      id="prune-select-id"),
         pytest.param(lambda pool: select_prunes([1, 3], [0.0, 1.5], _TWO_ROWS, 1),
                      id="prune-select-category"),
+        pytest.param(lambda pool: compute_class_average_accuracy([0.9, 1.7], [0, 1], 2),
+                     id="accuracy-prediction"),
+        pytest.param(lambda pool: compute_class_average_accuracy([0, 1], [0.2, 1.6], 2),
+                     id="accuracy-truth"),
+        pytest.param(lambda pool: estimate_matrix_from_labels([0.5, 1.5], [[1], [0]], 2, 1),
+                     id="estimate-category"),
+        pytest.param(lambda pool: derive_attribute_labels(
+            AttributeCategoryMatrix(np.full((2, 2), 0.75)), [1.5]), id="derive-category"),
+        pytest.param(lambda pool: train_category_bank(_FOUR_ROWS, _FLOAT_CATEGORIES, 2),
+                     id="train-category"),
+        pytest.param(lambda pool: train_banks(_FOUR_ROWS, _FLOAT_CATEGORIES, np.eye(4)[:, :2], 2),
+                     id="train-banks-category"),
     ],
 )
 def test_ids_and_categories_must_be_integers(call):

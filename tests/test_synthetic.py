@@ -277,8 +277,9 @@ def _accuracy_at_bracket_edge(rng_seed):
     ),
 )
 def test_calibration_matches_full_scan_bisection(seed, fraction):
-    edge = _accuracy_at_bracket_edge(seed)
-    target = edge + fraction * (1.0 - edge)
+    # An edge below 0.5 is not a valid target; the lowest valid one is above 0.5.
+    lowest = max(_accuracy_at_bracket_edge(seed), np.nextafter(0.5, 1.0))
+    target = lowest + fraction * (1.0 - lowest)
     assume(target < 1.0)
     assert calibrate_noise_std(target, rng_seed=seed) == _full_scan_calibrate_noise_std(
         target, rng_seed=seed
@@ -302,6 +303,19 @@ def test_calibration_rejects_unreachable_target():
     for target in (0.501, 0.5029649, 0.5000001):
         with pytest.raises(ConfigurationError, match=reachable):
             calibrate_noise_std(target)
+
+
+def test_calibration_rejects_an_edge_below_one_half():
+    # At seed 1653 the accuracy at noise level 64 is below chance: that edge
+    # is refused as a target, and every target above 0.5 is reachable.
+    edge = _accuracy_at_bracket_edge(1653)
+    assert edge == 0.49967
+    with pytest.raises(ConfigurationError, match=r"must be in \(0\.5, 1\.0\), got 0\.49967"):
+        calibrate_noise_std(edge, rng_seed=1653)
+    lowest = float(np.nextafter(0.5, 1.0))
+    assert calibrate_noise_std(lowest, rng_seed=1653) == _full_scan_calibrate_noise_std(
+        lowest, rng_seed=1653
+    )
 
 
 def test_calibration_hits_target_bands():
