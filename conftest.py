@@ -2,8 +2,9 @@
 
 OpenBLAS reads these variables once, when numpy loads it, and an unpinned
 OpenBLAS keeps a thread pool. With one thread in the process,
-``run_experiment`` forks its peer fit worker, so every in-process looping run
-takes the path the benchmark measures.
+``run_experiment`` and ``run_noise_study`` fork their worker, so every
+in-process looping run and every noise study of two or more seeds takes the
+path the benchmark measures.
 """
 import os
 import sys

@@ -12,11 +12,13 @@ vector Q for weighted fusion, as one ``encode_message`` byte string (the
 ``decode_message`` of its peer's bytes. The float64 round trip is exact.
 
 Where forking is safe (``_fork_is_safe``: Linux, one thread in the
-process), the two agents' fits run at the same time: each iteration a forked
-worker process fits agent 1's banks while this process fits agent 0's (see
-``_PeerWorker``). Only the fit crosses the process boundary; everything else,
-the barrier included, runs here in the same order as the serial loop that
-runs otherwise, so the records are the same either way.
+process), work is split with one forked worker process (``_PeerWorker``).
+In the loop, each iteration the worker fits agent 1's banks while this
+process fits agent 0's; everything else, the barrier included, runs here in
+the same order as the serial loop that runs otherwise. In the noise study,
+the worker scores the later half of the seeds while this process scores the
+earlier half, and its per-seed scores are appended after this process's.
+Either way the results are the same as without the worker.
 
 Variants:
 
@@ -192,6 +194,13 @@ def _fit_banks(features, categories, attributes, n_categories: int, config: Trai
     return train_banks(features, categories, attributes, n_categories, config)
 
 
+def _fit_bank_arrays(features, categories, attributes, n_categories: int, config: TrainConfig):
+    """``_fit_banks``'s banks as their (weights, bias) pairs, the form that
+    crosses the process boundary."""
+    banks = _fit_banks(features, categories, attributes, n_categories, config)
+    return [(bank.weights, bank.bias) for bank in banks]
+
+
 def _set_banks(run, world, banks, categories, attributes, weighted: bool):
     """Install freshly fitted banks, then the matrix and Q that derive from them."""
     run.category_bank = banks[0]
@@ -220,29 +229,30 @@ def _send(fd: int, message) -> None:
 
 
 def _serve(requests: int, replies: int) -> None:
-    """The worker's loop: fit each ``_fit_banks`` request and reply with
-    ``(True, [(weights, bias), ...])`` or ``(False, error)``, until the parent
-    closes its end of the request pipe."""
+    """The worker's loop: call each ``(function, args)`` request and reply
+    with ``(True, value)`` or ``(False, error)``, until the parent closes its
+    end of the request pipe."""
     with os.fdopen(requests, "rb") as reader:
         while True:
             try:
-                request = pickle.load(reader)
+                function, args = pickle.load(reader)
             except EOFError:
                 return
             try:
-                reply = (True, [(bank.weights, bank.bias) for bank in _fit_banks(*request)])
-            except Exception as error:  # re-raised by the parent, as a serial fit raises it
+                reply = (True, function(*args))
+            except Exception as error:  # re-raised by the parent, as the serial call raises it
                 reply = (False, error)
             _send(replies, reply)
 
 
 class _PeerWorker:
-    """A forked process that fits one agent's banks while the caller fits the other's.
+    """A forked process that does one share of the work while the caller does its own.
 
     Requests and replies are pickles on two pipes; only this process and its
-    worker write them. A request is ``_fit_banks``'s arguments and a reply is
-    each bank's (weights, bias) arrays, from which ``result`` rebuilds the
-    read-only banks. The fit is the same code on the same bytes as in this
+    worker write them. A request is a module-level function and its
+    arguments, and the reply is that function's value: the peer agent's
+    ``_fit_bank_arrays`` in the loop, the later seeds' ``_score_noise_seeds``
+    in the noise study. It is the same code on the same bytes as in this
     process, so its bits are too. ``close`` must follow, in a ``finally``.
     """
 
@@ -274,24 +284,22 @@ class _PeerWorker:
         os.close(reply_w)
         self._reader = os.fdopen(self._replies, "rb")
 
-    def submit(self, *request) -> None:
+    def submit(self, function, *args) -> None:
+        """Have the worker call ``function(*args)``; ``result`` returns its value."""
         try:
-            _send(self._requests, request)
+            _send(self._requests, (function, args))
         except BrokenPipeError as exc:
-            raise StateError("the peer's fit worker has exited") from exc
+            raise StateError("the forked worker has exited") from exc
 
     def result(self):
-        """The banks of the last request, or the error its fit raised."""
+        """The value of the last request, or the error it raised."""
         try:
             ok, value = pickle.load(self._reader)
         except (EOFError, pickle.UnpicklingError) as exc:
-            raise StateError("the peer's fit worker exited before it replied") from exc
+            raise StateError("the forked worker exited before it replied") from exc
         if not ok:
             raise value
-        return tuple(
-            kind(weights, bias)
-            for kind, (weights, bias) in zip((CategoryModelBank, AttributeModelBank), value)
-        )
+        return value
 
     def close(self) -> None:
         """Kill and reap the worker. It holds nothing worth saving, and a
@@ -307,11 +315,11 @@ class _PeerWorker:
 
 
 def _fork_is_safe() -> bool:
-    """Whether ``run_experiment`` may fork its peer worker: the system lists
-    this process's threads in /proc (Linux), and there is one. A forked child
-    copies the locks that other threads hold but not the threads that would
-    release them, and from Python 3.12 ``os.fork`` warns in a process with
-    more threads (an unpinned OpenBLAS keeps a pool)."""
+    """Whether ``run_experiment`` and ``run_noise_study`` may fork their
+    worker: the system lists this process's threads in /proc (Linux), and
+    there is one. A forked child copies the locks that other threads hold but
+    not the threads that would release them, and from Python 3.12 ``os.fork``
+    warns in a process with more threads (an unpinned OpenBLAS keeps a pool)."""
     try:
         return len(os.listdir("/proc/self/task")) == 1
     except OSError:
@@ -328,9 +336,15 @@ def _train_agents(runs, worker, world, cfg: LoopConfig, aware: bool, weighted: b
         _train_agent(peer, world, cfg, aware, weighted)
         return
     features, categories, attributes = _labeled_rows(peer, aware)
-    worker.submit(features, categories, attributes, world.config.n_categories, cfg.train)
+    worker.submit(
+        _fit_bank_arrays, features, categories, attributes, world.config.n_categories, cfg.train
+    )
     _train_agent(own, world, cfg, aware, weighted)
-    _set_banks(peer, world, worker.result(), categories, attributes, weighted)
+    banks = tuple(
+        kind(weights, bias)
+        for kind, (weights, bias) in zip((CategoryModelBank, AttributeModelBank), worker.result())
+    )
+    _set_banks(peer, world, banks, categories, attributes, weighted)
 
 
 def _agent_posterior(run, features, aware: bool, n_categories: int):
@@ -529,23 +543,17 @@ def default_noise_sweep(
     return NoiseSweepConfig(study=base, levels=levels, n_seeds=n_seeds)
 
 
-def run_noise_study(sweep: NoiseSweepConfig) -> list[NoiseLevelResult]:
-    """Matrix-only classification accuracy, own matrix vs the fused matrix.
-
-    Per seed, each agent estimates its matrix from its own small
-    human-annotated labeled set. At each level it then classifies the shared
-    test set from its own noisy attribute predictions, once with its own matrix
-    (baseline) and once with the two agents' fused matrix (cooperative).
-    Feature models play no role here. Results average over agents and seeds.
-    """
+def _score_noise_seeds(sweep: NoiseSweepConfig, seeds) -> list[tuple[list, list, list, list]]:
+    """Per level, the baseline, cooperative, good and bad accuracy lists of
+    ``seeds`` (offsets from the study's ``rng_seed``), seed-major and
+    agent-minor."""
     study = sweep.study
     n_cat, n_attr = study.n_categories, study.n_attributes
     good_columns = good_attribute_mask(study)
-    # Per level: baseline, cooperative, good and bad accuracy, seed-major and
-    # agent-minor. Only the predictions depend on the level, so each seed's
-    # dataset and matrices are made once and serve every level.
+    # Only the predictions depend on the level, so each seed's dataset and
+    # matrices are made once and serve every level.
     scores = [([], [], [], []) for _ in sweep.levels]
-    for k in range(sweep.n_seeds):
+    for k in seeds:
         data = generate_noise_dataset(replace(study, rng_seed=study.rng_seed + k))
         matrices = [
             estimate_matrix_from_labels(
@@ -570,6 +578,37 @@ def run_noise_study(sweep: NoiseSweepConfig) -> list[NoiseLevelResult]:
                 hits = (unary > 0.5) == truth
                 good_acc.append(float(hits[:, good_columns[agent]].mean()))
                 bad_acc.append(float(hits[:, ~good_columns[agent]].mean()))
+    return scores
+
+
+def run_noise_study(sweep: NoiseSweepConfig) -> list[NoiseLevelResult]:
+    """Matrix-only classification accuracy, own matrix vs the fused matrix.
+
+    Per seed, each agent estimates its matrix from its own small
+    human-annotated labeled set. At each level it then classifies the shared
+    test set from its own noisy attribute predictions, once with its own matrix
+    (baseline) and once with the two agents' fused matrix (cooperative).
+    Feature models play no role here. Results average over agents and seeds.
+
+    Where forking is safe and there are at least two seeds, a forked worker
+    scores seeds ``[n - n // 2, n)`` while this process scores the rest;
+    its scores follow this process's, so every average sees the serial order.
+    """
+    n = sweep.n_seeds
+    worker = _PeerWorker() if n >= 2 and _fork_is_safe() else None
+    try:
+        if worker is None:
+            scores = _score_noise_seeds(sweep, range(n))
+        else:
+            half = n - n // 2
+            worker.submit(_score_noise_seeds, sweep, range(half, n))
+            scores = _score_noise_seeds(sweep, range(half))
+            for own, theirs in zip(scores, worker.result()):
+                for values, later in zip(own, theirs):
+                    values.extend(later)
+    finally:
+        if worker is not None:
+            worker.close()
     return [
         NoiseLevelResult(
             good_noise_std=float(level),

@@ -149,7 +149,9 @@ def contrast_ground_truth_matrix(
 
     Profiles are redrawn until every pair differs in at least two attributes,
     so no two categories are near-indistinguishable by attributes. At most
-    2**(M - 1) profiles can be that far apart (the even-weight code).
+    2**(M - 1) profiles can be that far apart (the even-weight code). Near
+    that bound random profiles rarely separate, so if every draw fails the
+    profiles are distinct even-weight codewords, picked with the same ``rng``.
     """
     if not low < high:
         raise ConfigurationError("the low presence rate must be below the high one")
@@ -164,7 +166,11 @@ def contrast_ground_truth_matrix(
         distances[np.diag_indices(n_categories)] = n_attributes + 1
         if distances.min() >= 2:
             return np.where(pattern, high, low)
-    raise ConfigurationError("could not draw separated category profiles")
+    # Two distinct even-weight words differ in an even, nonzero number of bits.
+    codes = rng.choice(2 ** (n_attributes - 1), size=n_categories, replace=False)
+    bits = (codes >> np.arange(n_attributes - 1)[:, None]) & 1
+    pattern = np.vstack([bits, bits.sum(axis=0) % 2]) == 1
+    return np.where(pattern, high, low)
 
 
 def _flip_bits(bits: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:

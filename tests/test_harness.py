@@ -388,20 +388,6 @@ def _small_noise_sweep(levels, n_seeds=2):
     return NoiseSweepConfig(study=study, levels=levels, n_seeds=n_seeds)
 
 
-def test_noise_study_draws_each_seed_once(monkeypatch):
-    generate = harness.generate_noise_dataset
-    seeds = []
-
-    def counting(config):
-        seeds.append(config.rng_seed)
-        return generate(config)
-
-    monkeypatch.setattr(harness, "generate_noise_dataset", counting)
-    results = harness.run_noise_study(_small_noise_sweep((0.2, 1.0, 2.0)))
-    assert len(results) == 3
-    assert seeds == [3, 4]
-
-
 def test_noise_study_levels_match_single_level_sweeps():
     # A benchmark op runs one level at a time; a whole sweep must agree with it.
     sweep = _small_noise_sweep((0.0, 0.3, 1.1, 2.0), n_seeds=3)
@@ -500,23 +486,30 @@ def _deadline(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
+@contextlib.contextmanager
+def _second_thread():
+    """Keep another thread alive in the block: forking is unsafe there, so
+    the library takes its serial path."""
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert not harness._fork_is_safe()
+        yield
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
 @pytest.mark.parametrize("variant", _LOOPING, ids=lambda v: v.name)
 def test_forked_peer_fit_gives_the_serial_records(variant, small_world, forks):
     # The session's BLAS keeps one thread (conftest.py), so this process may fork.
     assert harness._fork_is_safe()
     forked = run_experiment(variant, small_world, 4, _FAST)
     assert len(forks) == 1
-    # While another thread runs, forking is unsafe and the serial loop runs.
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
-        assert not harness._fork_is_safe()
+    with _second_thread():
         serial = run_experiment(variant, small_world, 4, _FAST)
-    finally:
-        stop.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
     assert len(forks) == 1
     assert serial == forked
 
@@ -580,6 +573,85 @@ def test_stuck_peer_worker_is_reaped_after_an_error(small_world, forks, monkeypa
     # Without the bound, a worker that close() fails to kill hangs the session.
     with _deadline(10), pytest.raises(TrainingError, match="agent 0"):
         run_experiment(LearnerVariant.MULTIVIEW_IND, small_world, 3, _FAST)
+    assert len(forks) == 1
+
+
+def test_noise_study_draws_each_seed_once(tmp_path, forks, monkeypatch):
+    # The worker's draws happen in its own process, so each draw is logged to
+    # a file that both processes append to, with the pid that drew it.
+    generate, log = harness.generate_noise_dataset, tmp_path / "draws"
+
+    def logged(config):
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()} {config.rng_seed}\n")
+        return generate(config)
+
+    def drawn():
+        rows = [line.split() for line in log.read_text().splitlines()]
+        log.unlink()
+        return [(int(pid) == os.getpid(), int(seed)) for pid, seed in rows]
+
+    monkeypatch.setattr(harness, "generate_noise_dataset", logged)
+    sweep = _small_noise_sweep((0.2, 1.0, 2.0), n_seeds=5)
+    assert len(harness.run_noise_study(sweep)) == 3
+    assert len(forks) == 1
+    draws = drawn()
+    assert sorted(seed for _, seed in draws) == [3, 4, 5, 6, 7]
+    # The parent draws the first n - n // 2 seeds, the worker the rest.
+    assert [seed for here, seed in draws if here] == [3, 4, 5]
+    with _second_thread():
+        assert len(harness.run_noise_study(sweep)) == 3
+    assert len(forks) == 1
+    assert drawn() == [(True, seed) for seed in (3, 4, 5, 6, 7)]
+
+
+@pytest.mark.parametrize("levels", [(0.2,), (0.2, 1.0, 2.0)], ids=["one_level", "three_levels"])
+@pytest.mark.parametrize("n_seeds", [1, 2, 3])
+def test_forked_noise_study_gives_the_serial_results(n_seeds, levels, forks):
+    sweep = _small_noise_sweep(levels, n_seeds)
+    forked = harness.run_noise_study(sweep)
+    # One seed is not split; two or more fork one worker for the call.
+    assert len(forks) == (n_seeds >= 2)
+    with _second_thread():
+        serial = harness.run_noise_study(sweep)
+    assert len(forks) == (n_seeds >= 2)
+    assert forked == serial
+
+
+@pytest.mark.parametrize(
+    "failing", [{5}, {4}, {3, 5}], ids=["worker_half", "parent_half", "both_halves"]
+)
+def test_noise_seed_error_is_raised_as_a_serial_study_raises_it(failing, forks, monkeypatch):
+    # Three seeds from rng_seed 3: the parent scores 3 and 4, the worker 5.
+    generate = harness.generate_noise_dataset
+
+    def draw(config):
+        if config.rng_seed in failing:
+            raise ConfigurationError(f"seed {config.rng_seed} has no test examples")
+        return generate(config)
+
+    monkeypatch.setattr(harness, "generate_noise_dataset", draw)
+    sweep = _small_noise_sweep((0.2, 1.0), n_seeds=3)
+    with _second_thread(), pytest.raises(ConfigurationError) as serial:
+        harness.run_noise_study(sweep)
+    with pytest.raises(ConfigurationError) as forked:
+        harness.run_noise_study(sweep)
+    assert len(forks) == 1
+    assert type(forked.value) is type(serial.value)
+    assert str(forked.value) == str(serial.value) == f"seed {min(failing)} has no test examples"
+
+
+def test_dead_noise_worker_raises_state_error(forks, monkeypatch):
+    parent, generate = os.getpid(), harness.generate_noise_dataset
+
+    def draw(config):
+        if os.getpid() != parent:
+            os._exit(3)
+        return generate(config)
+
+    monkeypatch.setattr(harness, "generate_noise_dataset", draw)
+    with pytest.raises(StateError, match="worker"):
+        harness.run_noise_study(_small_noise_sweep((0.2,), n_seeds=2))
     assert len(forks) == 1
 
 

@@ -380,6 +380,17 @@ def test_contrast_matrix_draws_the_largest_separable_table(n_attributes):
     assert (distances + 2 * np.eye(bound, dtype=int)).min() >= 2
 
 
+@pytest.mark.parametrize("n_attributes, n_categories", [(4, 8), (6, 20), (8, 40), (10, 100)])
+def test_contrast_matrix_falls_back_to_codewords_when_draws_fail(n_attributes, n_categories):
+    # At rng seed 3 no random draw separates these tables.
+    matrix = contrast_ground_truth_matrix(n_attributes, n_categories, np.random.default_rng(3))
+    assert matrix.shape == (n_attributes, n_categories)
+    assert set(np.unique(matrix)) <= {0.1, 0.9}
+    pattern = matrix > 0.5
+    distances = (pattern[:, :, None] != pattern[:, None, :]).sum(axis=0)
+    assert (distances + 2 * np.eye(n_categories, dtype=int)).min() >= 2
+
+
 def test_contrast_matrix_profiles_are_separated():
     rng = np.random.default_rng(0)
     matrix = contrast_ground_truth_matrix(8, 6, rng)
