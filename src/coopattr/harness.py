@@ -13,12 +13,12 @@ vector Q for weighted fusion, as one ``encode_message`` byte string (the
 
 Where forking is safe (``_fork_is_safe``: Linux, one thread in the
 process), work is split with one forked worker process (``_PeerWorker``).
-In the loop, each iteration the worker fits agent 1's banks while this
-process fits agent 0's; everything else, the barrier included, runs here in
-the same order as the serial loop that runs otherwise. In the noise study,
-the worker scores the later half of the seeds while this process scores the
-earlier half, and its per-seed scores are appended after this process's.
-Either way the results are the same as without the worker.
+In the loop, agent 1 lives in the worker from the fork on and runs its
+phases there while this process runs agent 0's; only the ``.catm`` bytes
+and agent 1's record cross (``_InProcess`` runs agent 1 here otherwise).
+In the noise study, the worker scores the later half of the seeds while this
+process scores the earlier half, and its per-seed scores are appended after
+this process's. Either way the results are the same as without the worker.
 
 Variants:
 
@@ -47,8 +47,6 @@ import numpy as np
 from .crf import crf_posterior_batch, estimate_matrix_from_labels
 from .errors import ConfigurationError, StateError
 from .linear import (
-    AttributeModelBank,
-    CategoryModelBank,
     TrainConfig,
     attribute_accuracy_arrays,
     train_banks,
@@ -178,36 +176,16 @@ def _features_for(domain, ids):
     return domain.features[np.searchsorted(domain.ids, ids)]
 
 
-def _labeled_rows(run, aware: bool):
-    """The features, categories and (attribute-aware variants only) bits of
-    the agent's labeled rows, in id order; the bits are None otherwise."""
-    pool = run.pool
-    labeled = pool.split == LABELED
-    bits = pool.bits[labeled] if aware else None
-    return run.domain.features[labeled], pool.category[labeled], bits
-
-
-def _fit_banks(features, categories, attributes, n_categories: int, config: TrainConfig):
-    """The category bank, and the attribute bank unless ``attributes`` is None."""
-    if attributes is None:
-        return (train_category_bank(features, categories, n_categories, config),)
-    return train_banks(features, categories, attributes, n_categories, config)
-
-
-def _fit_bank_arrays(features, categories, attributes, n_categories: int, config: TrainConfig):
-    """``_fit_banks``'s banks as their (weights, bias) pairs, the form that
-    crosses the process boundary."""
-    banks = _fit_banks(features, categories, attributes, n_categories, config)
-    return [(bank.weights, bank.bias) for bank in banks]
-
-
-def _set_banks(run, world, banks, categories, attributes, weighted: bool):
-    """Install freshly fitted banks, then the matrix and Q that derive from them."""
-    run.category_bank = banks[0]
-    if attributes is None:
-        return
-    run.attribute_bank = banks[1]
+def _fit_agent(run, world, features, categories, attributes, config: TrainConfig, weighted: bool):
+    """Fit the category bank and, unless ``attributes`` is None, the attribute
+    bank, then set the matrix and Q that derive from them."""
     n_cat, n_attr = world.config.n_categories, world.config.n_attributes
+    if attributes is None:
+        run.category_bank = train_category_bank(features, categories, n_cat, config)
+        return
+    run.category_bank, run.attribute_bank = train_banks(
+        features, categories, attributes, n_cat, config
+    )
     run.matrix = estimate_matrix_from_labels(categories, attributes, n_cat, n_attr)
     if weighted:
         pool, domain = run.pool, run.domain
@@ -217,9 +195,10 @@ def _set_banks(run, world, banks, categories, attributes, weighted: bool):
 
 
 def _train_agent(run, world, cfg: LoopConfig, aware: bool, weighted: bool):
-    features, categories, attributes = _labeled_rows(run, aware)
-    banks = _fit_banks(features, categories, attributes, world.config.n_categories, cfg.train)
-    _set_banks(run, world, banks, categories, attributes, weighted)
+    labeled = run.pool.split == LABELED
+    features, categories = run.domain.features[labeled], run.pool.category[labeled]
+    attributes = run.pool.bits[labeled] if aware else None
+    _fit_agent(run, world, features, categories, attributes, cfg.train, weighted)
 
 
 def _send(fd: int, message) -> None:
@@ -228,10 +207,10 @@ def _send(fd: int, message) -> None:
         view = view[os.write(fd, view):]
 
 
-def _serve(requests: int, replies: int) -> None:
-    """The worker's loop: call each ``(function, args)`` request and reply
-    with ``(True, value)`` or ``(False, error)``, until the parent closes its
-    end of the request pipe."""
+def _serve(requests: int, replies: int, bound: tuple) -> None:
+    """The worker's loop: call each ``(function, args)`` request as
+    ``function(*bound, *args)`` and reply with ``(True, value)`` or
+    ``(False, error)``, until the parent closes its end of the request pipe."""
     with os.fdopen(requests, "rb") as reader:
         while True:
             try:
@@ -239,7 +218,7 @@ def _serve(requests: int, replies: int) -> None:
             except EOFError:
                 return
             try:
-                reply = (True, function(*args))
+                reply = (True, function(*bound, *args))
             except Exception as error:  # re-raised by the parent, as the serial call raises it
                 reply = (False, error)
             _send(replies, reply)
@@ -249,14 +228,16 @@ class _PeerWorker:
     """A forked process that does one share of the work while the caller does its own.
 
     Requests and replies are pickles on two pipes; only this process and its
-    worker write them. A request is a module-level function and its
-    arguments, and the reply is that function's value: the peer agent's
-    ``_fit_bank_arrays`` in the loop, the later seeds' ``_score_noise_seeds``
-    in the noise study. It is the same code on the same bytes as in this
-    process, so its bits are too. ``close`` must follow, in a ``finally``.
+    worker write them. A request is a module-level function (or an ``_Agent``
+    method) and its arguments. The worker calls it after ``bound``, which it
+    inherits at the fork and keeps, and replies with its value: in the loop
+    ``bound`` is agent 1, whose message and record come back, and in the
+    noise study it is empty and the later seeds' scores come back. It is the
+    same code on the same bytes as in this process, so its bits are too.
+    ``close`` must follow, in a ``finally``.
     """
 
-    def __init__(self):
+    def __init__(self, *bound):
         request_r, self._requests = os.pipe()
         self._replies, reply_w = os.pipe()
         try:
@@ -275,7 +256,7 @@ class _PeerWorker:
                 gc.disable()
                 os.close(self._requests)
                 os.close(self._replies)
-                _serve(request_r, reply_w)
+                _serve(request_r, reply_w, bound)
                 status = 0
             finally:
                 # Never return into the parent's code, nor run its exit handlers.
@@ -285,7 +266,7 @@ class _PeerWorker:
         self._reader = os.fdopen(self._replies, "rb")
 
     def submit(self, function, *args) -> None:
-        """Have the worker call ``function(*args)``; ``result`` returns its value."""
+        """Have the worker call ``function(*bound, *args)``; ``result`` returns its value."""
         try:
             _send(self._requests, (function, args))
         except BrokenPipeError as exc:
@@ -314,6 +295,23 @@ class _PeerWorker:
             os.waitpid(self._pid, 0)
 
 
+class _InProcess:
+    """``_PeerWorker``'s stand-in where forking is unsafe: ``result`` makes
+    the submitted call in this process, on the same ``bound`` arguments."""
+
+    def __init__(self, *bound):
+        self._bound = bound
+
+    def submit(self, function, *args) -> None:
+        self._call = lambda: function(*self._bound, *args)
+
+    def result(self):
+        return self._call()
+
+    def close(self) -> None:
+        pass
+
+
 def _fork_is_safe() -> bool:
     """Whether ``run_experiment`` and ``run_noise_study`` may fork their
     worker: the system lists this process's threads in /proc (Linux), and
@@ -324,27 +322,6 @@ def _fork_is_safe() -> bool:
         return len(os.listdir("/proc/self/task")) == 1
     except OSError:
         return False
-
-
-def _train_agents(runs, worker, world, cfg: LoopConfig, aware: bool, weighted: bool):
-    """Train both agents: one after the other, or with agent 1's fit in
-    ``worker`` while agent 0's runs here. A peer error surfaces after any
-    error of agent 0, as in the serial loop."""
-    own, peer = runs
-    if worker is None:
-        _train_agent(own, world, cfg, aware, weighted)
-        _train_agent(peer, world, cfg, aware, weighted)
-        return
-    features, categories, attributes = _labeled_rows(peer, aware)
-    worker.submit(
-        _fit_bank_arrays, features, categories, attributes, world.config.n_categories, cfg.train
-    )
-    _train_agent(own, world, cfg, aware, weighted)
-    banks = tuple(
-        kind(weights, bias)
-        for kind, (weights, bias) in zip((CategoryModelBank, AttributeModelBank), worker.result())
-    )
-    _set_banks(peer, world, banks, categories, attributes, weighted)
 
 
 def _agent_posterior(run, features, aware: bool, n_categories: int):
@@ -406,13 +383,50 @@ def _agent_metrics(run, aware: bool, n_categories: int, moved=(0, 0), accuracy=N
     return AgentMetrics(accuracy, purity, attribute_accuracy, transfers, prunes)
 
 
-def _ensemble_test_accuracy(runs, world) -> float:
-    pairs = world.paired_test_ids
-    p0, p1 = (
-        run.category_bank.posterior_batch(_features_for(run.domain, pairs[:, agent]))
-        for agent, run in enumerate(runs)
-    )
-    first = runs[0].domain
+class _Agent:
+    """One agent of a looping run and the three phases of its iteration,
+    which read nothing of the peer but its ``.catm`` bytes."""
+
+    def __init__(self, index: int, world, variant: LearnerVariant, cfg: LoopConfig):
+        self.index, self.world, self.cfg = index, world, cfg
+        self.run = _AgentRun(world.domains[index])
+        self.aware = variant in _ATTRIBUTE_AWARE
+        self.weighted = variant is LearnerVariant.COOPERATIVE_WEIGHTED
+        self.cooperative = self.weighted or variant is LearnerVariant.COOPERATIVE_UNIFORM
+        self.ensemble = variant is LearnerVariant.ENSEMBLE_IND
+
+    def train(self, t: int) -> bytes | None:
+        """Fit on the labeled pool; a cooperative agent returns its message."""
+        _train_agent(self.run, self.world, self.cfg, self.aware, self.weighted)
+        if self.cooperative:
+            return encode_message(MatrixMessage(self.index, t, self.run.matrix, self.run.q))
+        return None
+
+    def advance(self, t: int, received: bytes | None) -> None:
+        """Fuse the peer's message, if there is one, then transfer and prune."""
+        run = self.run
+        if received is not None:
+            msg = decode_message(received)
+            if self.weighted:
+                run.matrix = fuse_weighted((run.matrix, run.q), [(msg.matrix, msg.accuracy_vector)])
+            else:
+                run.matrix = fuse_uniform(run.matrix, [msg.matrix])
+        self.moved = _advance_agent(run, t, self.cfg, self.aware, self.world.config.n_categories)
+
+    def metrics(self):
+        """This iteration's record and, for the ensemble, the posteriors of
+        this agent's side of the paired test set; the ensemble's record then
+        holds NaN for the accuracy that the two agents' average gives."""
+        run, n_categories = self.run, self.world.config.n_categories
+        if not self.ensemble:
+            return _agent_metrics(run, self.aware, n_categories, self.moved), None
+        pairs = self.world.paired_test_ids[:, self.index]
+        posteriors = run.category_bank.posterior_batch(_features_for(run.domain, pairs))
+        return _agent_metrics(run, self.aware, n_categories, self.moved, float("nan")), posteriors
+
+
+def _ensemble_accuracy(world, p0, p1) -> float:
+    pairs, first = world.paired_test_ids, world.domains[0]
     truths = first.true_category[np.searchsorted(first.ids, pairs[:, 0])]
     return compute_class_average_accuracy(
         np.argmax((p0 + p1) / 2, axis=1), truths, world.config.n_categories
@@ -426,8 +440,7 @@ def _run_upper_bound(world, iterations: int, cfg: LoopConfig) -> list[IterationR
         rows = (domain.pool.split != TEST) & (domain.true_category != DISTRACTOR)
         categories, attributes = domain.true_category[rows], domain.true_bits[rows]
         run = _AgentRun(domain)
-        banks = _fit_banks(domain.features[rows], categories, attributes, n_cat, cfg.train)
-        _set_banks(run, world, banks, categories, attributes, weighted=False)
+        _fit_agent(run, world, domain.features[rows], categories, attributes, cfg.train, False)
         metrics.append(_agent_metrics(run, True, n_cat))
     frozen = tuple(metrics)
     return [IterationRecord(iteration=t, agents=frozen) for t in range(1, iterations + 1)]
@@ -445,40 +458,28 @@ def run_experiment(
     cfg = config or LoopConfig()
     if variant is LearnerVariant.MAX_ACCURACY_UPPER_BOUND:
         return _run_upper_bound(world, iterations, cfg)
-    aware = variant in _ATTRIBUTE_AWARE
-    weighted = variant is LearnerVariant.COOPERATIVE_WEIGHTED
-    cooperative = weighted or variant is LearnerVariant.COOPERATIVE_UNIFORM
-    ensemble = variant is LearnerVariant.ENSEMBLE_IND
-    n_categories = world.config.n_categories
-    runs = [_AgentRun(domain) for domain in world.domains]
+    # Agent 1 runs in the worker where forking is safe. In each phase its call
+    # goes out, agent 0's runs here, and then its reply is read, so an error
+    # of agent 0's comes first, as when one process runs both.
+    own, peer = (_Agent(k, world, variant, cfg) for k in (0, 1))
+    worker = _PeerWorker(peer) if _fork_is_safe() else _InProcess(peer)
     records = []
-    worker = _PeerWorker() if _fork_is_safe() else None
     try:
         for t in range(1, iterations + 1):
-            _train_agents(runs, worker, world, cfg, aware, weighted)
-            if cooperative:
-                sent = [
-                    encode_message(MatrixMessage(k, t, run.matrix, run.q))
-                    for k, run in enumerate(runs)
-                ]
-                for k, run in enumerate(runs):
-                    received = decode_message(sent[1 - k])
-                    if weighted:
-                        run.matrix = fuse_weighted(
-                            (run.matrix, run.q), [(received.matrix, received.accuracy_vector)]
-                        )
-                    else:
-                        run.matrix = fuse_uniform(run.matrix, [received.matrix])
-            moved = [_advance_agent(run, t, cfg, aware, n_categories) for run in runs]
-            accuracy = _ensemble_test_accuracy(runs, world) if ensemble else None
-            agents = tuple(
-                _agent_metrics(run, aware, n_categories, m, accuracy)
-                for run, m in zip(runs, moved)
-            )
-            records.append(IterationRecord(iteration=t, agents=agents))
+            worker.submit(_Agent.train, t)
+            sent = own.train(t)
+            received = worker.result()
+            worker.submit(_Agent.advance, t, sent)
+            own.advance(t, received)
+            worker.result()
+            worker.submit(_Agent.metrics)
+            (first, p0), (second, p1) = own.metrics(), worker.result()
+            if own.ensemble:
+                accuracy = _ensemble_accuracy(world, p0, p1)
+                first, second = (replace(m, accuracy=accuracy) for m in (first, second))
+            records.append(IterationRecord(iteration=t, agents=(first, second)))
     finally:
-        if worker is not None:
-            worker.close()
+        worker.close()
     return records
 
 
@@ -595,20 +596,16 @@ def run_noise_study(sweep: NoiseSweepConfig) -> list[NoiseLevelResult]:
     its scores follow this process's, so every average sees the serial order.
     """
     n = sweep.n_seeds
-    worker = _PeerWorker() if n >= 2 and _fork_is_safe() else None
+    half = n - n // 2
+    worker = _PeerWorker() if n >= 2 and _fork_is_safe() else _InProcess()
     try:
-        if worker is None:
-            scores = _score_noise_seeds(sweep, range(n))
-        else:
-            half = n - n // 2
-            worker.submit(_score_noise_seeds, sweep, range(half, n))
-            scores = _score_noise_seeds(sweep, range(half))
-            for own, theirs in zip(scores, worker.result()):
-                for values, later in zip(own, theirs):
-                    values.extend(later)
+        worker.submit(_score_noise_seeds, sweep, range(half, n))
+        scores = _score_noise_seeds(sweep, range(half))
+        for own, theirs in zip(scores, worker.result()):
+            for values, later in zip(own, theirs):
+                values.extend(later)
     finally:
-        if worker is not None:
-            worker.close()
+        worker.close()
     return [
         NoiseLevelResult(
             good_noise_std=float(level),

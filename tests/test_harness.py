@@ -3,7 +3,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import importlib.util
+import io
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -206,17 +208,24 @@ def test_identity_fusion_makes_cooperative_match_multiview(small_world, monkeypa
 
 
 @pytest.mark.parametrize("variant", list(LearnerVariant))
-def test_cooperative_agents_exchange_catm_bytes(variant, small_world, monkeypatch):
-    encode = harness.encode_message
-    sent = []
+def test_cooperative_agents_exchange_catm_bytes(variant, small_world, tmp_path, monkeypatch):
+    # Agent 1 encodes in the worker, so each message is logged to a file that
+    # both processes append to, with the pid that encoded it.
+    encode, log = harness.encode_message, tmp_path / "sent"
+    log.touch()
 
     def recording_encode(msg):
         data = encode(msg)
-        sent.append((msg.agent_id, msg.iteration, len(data)))
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()} {msg.agent_id} {msg.iteration} {len(data)}\n")
         return data
 
     monkeypatch.setattr(harness, "encode_message", recording_encode)
     run_experiment(variant, small_world, 4, _FAST)
+    rows = [[int(field) for field in line.split()] for line in log.read_text().splitlines()]
+    # Each agent encodes in its own process: agent 0 here, agent 1 in the worker.
+    assert all((pid == os.getpid()) == (k == 0) for pid, k, _, _ in rows)
+    sent = sorted(((k, t, size) for _, k, t, size in rows), key=lambda row: (row[1], row[0]))
     m, n = small_world.config.n_attributes, small_world.config.n_categories
     size = 16 + 8 * m * n
     if variant is LearnerVariant.COOPERATIVE_WEIGHTED:
@@ -532,15 +541,100 @@ def test_fit_error_is_raised_as_a_serial_loop_raises_it(
             return _original(features, *args)
 
         monkeypatch.setattr(harness, name, fit)
-    aware = variant is not LearnerVariant.SSL_IND
-    runs = [harness._AgentRun(domain) for domain in small_world.domains]
-    with pytest.raises(TrainingError) as serial:
-        harness._train_agents(runs, None, small_world, _FAST, aware, weighted=aware)
+    with _second_thread(), pytest.raises(TrainingError) as serial:
+        run_experiment(variant, small_world, 3, _FAST)
     with pytest.raises(TrainingError) as forked:
         run_experiment(variant, small_world, 3, _FAST)
     assert len(forks) == 1
     assert type(forked.value) is type(serial.value)
     assert str(forked.value) == str(serial.value)
+
+
+@pytest.mark.parametrize("failing", [{0}, {1}, {0, 1}], ids=["agent_0", "agent_1", "both"])
+@pytest.mark.parametrize("name", ["select_transfers", "compute_purity"])
+@pytest.mark.parametrize(
+    "variant", [LearnerVariant.COOPERATIVE_WEIGHTED, LearnerVariant.ENSEMBLE_IND],
+    ids=lambda v: v.name,
+)
+def test_phase_error_is_raised_as_a_serial_loop_raises_it(
+    variant, name, failing, small_world, forks, monkeypatch
+):
+    # Patched before the fork, so the worker's agent calls it too. Neither
+    # function sees features, so the agents are told apart by their ids, which
+    # are disjoint.
+    first_peer_id = small_world.domains[1].ids[0]
+
+    def failing_call(ids_or_pool, *args, _original=getattr(harness, name)):
+        ids = getattr(ids_or_pool, "ids", ids_or_pool)
+        agent = int(ids[0] >= first_peer_id)
+        if agent in failing:
+            raise StateError(f"{name} failed for agent {agent}")
+        return _original(ids_or_pool, *args)
+
+    monkeypatch.setattr(harness, name, failing_call)
+    with _second_thread(), pytest.raises(StateError) as serial:
+        run_experiment(variant, small_world, 3, _FAST)
+    with pytest.raises(StateError) as forked:
+        run_experiment(variant, small_world, 3, _FAST)
+    assert len(forks) == 1
+    assert type(forked.value) is type(serial.value)
+    assert str(forked.value) == str(serial.value) == f"{name} failed for agent {min(failing)}"
+
+
+class _ArrayCountingPickler(pickle.Pickler):
+    """Counts the numpy arrays in what it pickles."""
+
+    arrays = 0
+
+    def reducer_override(self, obj):
+        if isinstance(obj, np.ndarray):
+            self.arrays += 1
+        return NotImplemented
+
+
+# The pickle framing of one iteration's three requests (an _Agent method and
+# the iteration) and three replies (agent 1's record, None or a .catm message),
+# not counting the messages and posteriors they carry; 343-459 B on small_world.
+_FRAMING_BYTES = 768
+
+
+@pytest.mark.parametrize("variant", _LOOPING, ids=lambda v: v.name)
+def test_only_the_message_crosses_between_the_agents(
+    variant, small_world, tmp_path, forks, monkeypatch
+):
+    # The worker's replies are written in its own process, so both processes
+    # log each pickle they send to a file: who sent it, its bytes, its arrays.
+    send, log, parent = harness._send, tmp_path / "sent", os.getpid()
+
+    def logged(fd, message):
+        buffer = io.BytesIO()
+        pickler = _ArrayCountingPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+        pickler.dump(message)
+        with open(log, "a") as out:
+            out.write(f"{int(os.getpid() == parent)} {buffer.tell()} {pickler.arrays}\n")
+        send(fd, message)
+
+    monkeypatch.setattr(harness, "_send", logged)
+    iterations = 4
+    run_experiment(variant, small_world, iterations, _FAST)
+    assert len(forks) == 1
+    sends = [[int(field) for field in line.split()] for line in log.read_text().splitlines()]
+    requests = [(size, arrays) for here, size, arrays in sends if here]
+    replies = [(size, arrays) for here, size, arrays in sends if not here]
+    assert len(requests) == len(replies) == 3 * iterations
+    # Requests carry no array; only the ensemble's paired-test posteriors
+    # come back as one, once per iteration.
+    assert sum(arrays for _, arrays in requests) == 0
+    ensemble = variant is LearnerVariant.ENSEMBLE_IND
+    assert sum(arrays for _, arrays in replies) == (iterations if ensemble else 0)
+    n_categories = small_world.config.n_categories
+    cooperative = variant in (LearnerVariant.COOPERATIVE_UNIFORM, LearnerVariant.COOPERATIVE_WEIGHTED)
+    # Each agent's message (the weighted one's size bounds the uniform one's),
+    # and the ensemble's (n_test, n_categories) float64 posteriors.
+    message = 16 + 8 * small_world.config.n_attributes * (n_categories + 1) if cooperative else 0
+    posteriors = 8 * len(small_world.paired_test_ids) * n_categories if ensemble else 0
+    per_iteration = sum(size for size, _ in requests + replies) / iterations
+    assert per_iteration <= 2 * message + posteriors + _FRAMING_BYTES
 
 
 @pytest.mark.parametrize("fatal_call", [1, 2])
@@ -833,27 +927,40 @@ def test_benchmark_tracer_finds_every_wrapped_name(small_world):
         tracer.restore()
 
 
-def test_benchmark_tracer_counts_every_transfer_and_prune():
+def test_benchmark_tracer_counts_every_transfer_and_prune(forks):
     # The tracer counts the rows select_transfers and select_prunes return
     # and unpacks each transfer as (id, category); another return shape
     # would miscount there without failing.
     cfg = load_experiment_config(_PERFBENCH / "configs" / "tiny" / "trend.cfg")
     world = generate_world(world_config(cfg, 0))
-    tracer = _benchmark_tracer()
-    tracer.distractors = frozenset(np.concatenate(
-        [domain.ids[domain.true_category == DISTRACTOR] for domain in world.domains]
-    ).tolist())
-    tracer.install()
-    try:
-        assert tracer.missing == []
-        with tracer.op(1):
-            records = run_experiment(
-                LearnerVariant.COOPERATIVE_UNIFORM, world, 6, loop_config(cfg)
-            )
-    finally:
-        tracer.restore()
+
+    def traced_run():
+        tracer = _benchmark_tracer()
+        tracer.distractors = frozenset(np.concatenate(
+            [domain.ids[domain.true_category == DISTRACTOR] for domain in world.domains]
+        ).tolist())
+        tracer.install()
+        try:
+            assert tracer.missing == []
+            with tracer.op(1):
+                records = run_experiment(
+                    LearnerVariant.COOPERATIVE_UNIFORM, world, 6, loop_config(cfg)
+                )
+        finally:
+            tracer.restore()
+        return records, tracer.counts
+
+    # Serially both agents select in the traced process.
+    with _second_thread():
+        records, counts = traced_run()
     agents = [metrics for record in records for metrics in record.agents]
-    counts = tracer.counts
     assert counts["transfer.chosen"] == sum(metrics.transfers for metrics in agents)
     assert counts["transfer.pruned"] == sum(metrics.prunes for metrics in agents)
+    assert 0 < counts["transfer.distractors"] <= counts["transfer.chosen"]
+    # Forked, agent 1 selects in the worker, which the tracer does not see.
+    records, counts = traced_run()
+    assert len(forks) == 1
+    first = [record.agents[0] for record in records]
+    assert counts["transfer.chosen"] == sum(metrics.transfers for metrics in first)
+    assert counts["transfer.pruned"] == sum(metrics.prunes for metrics in first)
     assert 0 < counts["transfer.distractors"] <= counts["transfer.chosen"]
