@@ -11,8 +11,10 @@ message
 
 Messages are accumulated in log space to avoid underflow; the priors are
 constant across categories and cancel in the normalization. The batch kernel
-works category-major, one attribute at a time, on (N, n) slabs; see
-:func:`crf_posterior_batch` for why that keeps every bit of the result.
+works category-major, one attribute at a time, on (N, b) slabs of at most
+``_BLOCK_ROWS`` examples, and writes each block's rows into one (n, N)
+result; see :func:`crf_posterior_batch` for why that keeps every bit of the
+result.
 """
 from __future__ import annotations
 
@@ -29,6 +31,11 @@ MATRIX_CLAMP = 1e-6
 
 #: Exact enumeration over 2^M attribute configurations beyond this is refused.
 MAX_ENUMERATION_ATTRIBUTES = 20
+
+#: Examples per block of :func:`crf_posterior_batch`. A block's five (N, b)
+#: or (M, b) slabs stay within a few hundred KB, and a noise-study call
+#: (2000 rows) or a loop over a default-sized pool stays one block.
+_BLOCK_ROWS = 4096
 
 
 def estimate_matrix_from_labels(
@@ -90,23 +97,41 @@ def crf_posterior_batch(
     Returns a C-contiguous (n_examples, n_categories) array whose rows sum
     to 1.
 
-    The kernel works category-major: it keeps (n_categories, n_examples)
-    slabs and adds one attribute's log-messages at a time, in ascending
+    The rows are scored in blocks of at most ``_BLOCK_ROWS``, each written
+    into its rows of the one result array, so the scratch memory is bounded
+    by the block and not by the batch. Each output row depends only on its
+    own input row: every step is elementwise, or a max or sum over that
+    row's categories. So blocking moves no bit. (A matrix product is
+    different; a row of ``X @ W`` can change with the rows it is computed
+    with, which is why callers never score a pool in pieces.)
+
+    Within a block the kernel works category-major: it keeps (n_categories,
+    b) slabs and adds one attribute's log-messages at a time, in ascending
     attribute order, so every ufunc runs over the contiguous example axis and
-    no (n, M, N) message tensor is built. That is the order in which numpy
-    reduces the middle axis of the (n, M, N) form, so the log-scores are the
-    same sums, bit for bit. The normaliser is summed on a C-contiguous
-    (n, N) copy: numpy sums a contiguous last axis pairwise once it has 8 or
-    more elements, and a sum down the slab's first axis would group the
-    terms differently and move the last bit.
+    no (b, M, N) message tensor is built. That is the order in which numpy
+    reduces the middle axis of the (b, M, N) form, so the log-scores are the
+    same sums, bit for bit. The normaliser is summed on the block's
+    C-contiguous (b, N) rows of the result: numpy sums a contiguous last axis
+    pairwise once it has 8 or more elements, and a sum down the slab's first
+    axis would group the terms differently and move the last bit.
     """
     rates, probs = _conditioned(matrix, attr_probs, n_categories)
     if probs.ndim != 2:
         raise ConfigurationError("attr_probs batch must be (n_examples, n_attributes)")
+    off = 1.0 - rates
+    result = np.empty((probs.shape[0], n_categories))
+    for start in range(0, probs.shape[0], _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        _posterior_block(rates, off, probs[block], result[block])
+    return result
+
+
+def _posterior_block(rates, off, probs, out) -> None:
+    """Write the posteriors of the (b, M) ``probs`` rows into the C-contiguous
+    (b, N) ``out``; the kernel of :func:`crf_posterior_batch`."""
     p_t = np.ascontiguousarray(probs.T)
     q_t = 1.0 - p_t
-    off = 1.0 - rates
-    shape = (n_categories, probs.shape[0])
+    shape = (rates.shape[1], probs.shape[0])
     term, other, log_scores = np.empty(shape), np.empty(shape), np.zeros(shape)
     # 0.0 + x == x exactly and log never returns -0.0, so starting from zeros
     # changes no bit; with no attributes every row stays uniform.
@@ -117,9 +142,8 @@ def crf_posterior_batch(
         np.log(term, out=term)
         log_scores += term
     log_scores -= log_scores.max(axis=0)
-    scores = np.exp(log_scores, out=log_scores)
-    scores /= np.ascontiguousarray(scores.T).sum(axis=1)
-    return np.ascontiguousarray(scores.T)
+    out[...] = np.exp(log_scores, out=log_scores).T
+    out /= out.sum(axis=1, keepdims=True)
 
 
 def crf_posterior(

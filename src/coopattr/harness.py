@@ -330,7 +330,10 @@ def _agent_posterior(run, features, aware: bool, n_categories: int):
         return p_fc
     unary = run.attribute_bank.probs_batch(features)
     p_ac = crf_posterior_batch(run.matrix, unary, n_categories)
-    return 0.5 * (p_fc + p_ac)
+    # The same bits as 0.5 * (p_fc + p_ac), in p_fc's own memory.
+    p_fc += p_ac
+    p_fc *= 0.5
+    return p_fc
 
 
 def _advance_agent(run, t: int, cfg: LoopConfig, aware: bool, n_categories: int):

@@ -44,20 +44,18 @@ class TrainConfig:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic function of ``z``, which it overwrites with scratch."""
     # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, with e = e^-|z|:
     # the exponent is never positive, so nothing overflows. As 0 <= e <= 1,
     # max(e, z >= 0) is the numerator, 1 or e, without a branch per element.
-    e = np.abs(z)
+    positive = z >= 0
+    e = np.abs(z, out=z)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    numerator = np.maximum(e, z >= 0)
+    numerator = np.maximum(e, positive)
     e += 1.0
     numerator /= e
     return numerator
-
-
-def _clamp(p):
-    return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
 def _fit(features: np.ndarray, targets: np.ndarray, config: TrainConfig):
@@ -128,7 +126,10 @@ class _LinearBank:
         features = np.asarray(features, dtype=float)
         if features.ndim != 2 or features.shape[1] != self.weights.shape[0]:
             raise ConfigurationError("feature matrix does not match classifier dimension")
-        return _clamp(_sigmoid(features @ self.weights + self.bias))
+        z = features @ self.weights
+        z += self.bias
+        p = _sigmoid(z)
+        return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP, out=p)
 
 
 class CategoryModelBank(_LinearBank):
@@ -136,7 +137,8 @@ class CategoryModelBank(_LinearBank):
 
     def posterior_batch(self, features: np.ndarray) -> np.ndarray:
         raw = self._probs(features)
-        return raw / raw.sum(axis=1, keepdims=True)
+        raw /= raw.sum(axis=1, keepdims=True)
+        return raw
 
 
 class AttributeModelBank(_LinearBank):
@@ -202,7 +204,8 @@ def train_attribute_bank(
     rates = targets.mean(axis=0)
     mixed = np.flatnonzero((rates > 0.0) & (rates < 1.0))
     weights = np.zeros((features.shape[1], targets.shape[1]))
-    bias = np.array([math.log(p / (1.0 - p)) for p in _clamp(rates).tolist()])
+    clamped = np.clip(rates, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    bias = np.array([math.log(p / (1.0 - p)) for p in clamped.tolist()])
     if mixed.size:
         weights[:, mixed], bias[mixed] = _fit(features, targets[:, mixed], config)
     return AttributeModelBank(weights, bias)

@@ -241,9 +241,14 @@ def generate_world(config: SyntheticWorldConfig) -> SyntheticWorld:
             np.full(distractor_counts[agent], DISTRACTOR),
             np.repeat(categories, sizes.test),
         ])
+        # The float copy of the bits is freed before the noise is drawn, and
+        # the noise before the next agent's copy is made.
+        features = (bits - 0.5) @ embeddings[agent].T
         noise_rng = np.random.default_rng([seed, _STREAM_FEATURE_NOISE, agent])
         noise = noise_rng.standard_normal((bits.shape[0], cfg.feature_dims[agent]))
-        features = (bits - 0.5) @ embeddings[agent].T + cfg.feature_noise_stds[agent] * noise
+        noise *= cfg.feature_noise_stds[agent]
+        features += noise
+        del noise
 
         n_labeled, n_test = n_cat * sizes.labeled, n_cat * sizes.test
         ids = np.arange(next_id, next_id + bits.shape[0])

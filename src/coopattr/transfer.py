@@ -4,8 +4,9 @@ Candidates arrive as arrays: one id per row and one ``(n, k)`` matrix of
 combined category posteriors. They are ranked by the entropy of their row:
 lowest-entropy unlabeled examples are transferred (most confident), and
 highest-entropy labeled examples are pruned (least confident). Each category
-group is ranked with one ``np.lexsort`` on (category, entropy, id), so ties
-break toward the lower example id and runs are reproducible.
+group's rows at or inside its cut are ranked with one ``np.lexsort`` on
+(entropy, id), so ties break toward the lower example id and runs are
+reproducible.
 """
 from __future__ import annotations
 
@@ -27,20 +28,32 @@ def entropy(posterior):
     """
     p = np.ascontiguousarray(posterior, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        h = -np.where(p > 0.0, p * np.log(p), 0.0).sum(axis=-1)
+        terms = np.log(p)
+        terms *= p
+    np.copyto(terms, 0.0, where=~(p > 0.0))
+    h = -terms.sum(axis=-1)
     return float(h) if h.ndim == 0 else h
 
 
 def _first_per_category(ids, categories, keys, count: int) -> np.ndarray:
     """Row indices of the ``count`` smallest (key, id) rows of each category.
 
-    Rows come out by ascending category, then key, then id.
+    Rows come out by ascending category, then key, then id. Only the rows at
+    or inside a category's cut, its ``count``-th smallest key, are sorted:
+    any other row ranks after at least ``count`` of them. A NaN key is never
+    inside a finite cut and sorts last, as in one sort of the whole group.
     """
-    order = np.lexsort((ids, keys, categories))
-    ranked = categories[order]
-    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
-    group_start = np.repeat(starts, np.diff(np.r_[starts, ranked.size]))
-    return order[np.arange(ranked.size) - group_start < count]
+    low = categories.min(initial=0)
+    picks = [np.empty(0, dtype=np.intp)]
+    for category in np.flatnonzero(np.bincount(categories - low)) + low:
+        rows = np.flatnonzero(categories == category)
+        if rows.size > count:
+            group = keys[rows]
+            cut = np.partition(group, count - 1)[count - 1]
+            rows = rows[~(group > cut)]
+        order = np.lexsort((ids[rows], keys[rows]))
+        picks.append(rows[order[:count]])
+    return np.concatenate(picks)
 
 
 def _rows(ids, posteriors) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,7 @@ from coopattr import (
     crf_posterior,
     estimate_matrix_from_labels,
 )
+from coopattr import crf
 from coopattr.crf import MATRIX_CLAMP, _conditioned, crf_posterior_batch
 
 
@@ -215,6 +216,63 @@ def test_category_major_kernel_is_bit_identical_to_broadcast_form(
     assert got.shape == expected.shape == (n_examples, n_categories)
     assert got.dtype == np.float64 and got.flags.c_contiguous
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def _whole_posterior_batch(matrix, attr_probs, n_categories):
+    # The earlier one-block form of crf_posterior_batch, verbatim: (N, n)
+    # slabs over the whole batch.
+    rates, probs = _conditioned(matrix, attr_probs, n_categories)
+    if probs.ndim != 2:
+        raise ConfigurationError("attr_probs batch must be (n_examples, n_attributes)")
+    p_t = np.ascontiguousarray(probs.T)
+    q_t = 1.0 - p_t
+    off = 1.0 - rates
+    shape = (n_categories, probs.shape[0])
+    term, other, log_scores = np.empty(shape), np.empty(shape), np.zeros(shape)
+    for j in range(rates.shape[0]):
+        np.multiply(rates[j, :, None], p_t[j], out=term)
+        np.multiply(off[j, :, None], q_t[j], out=other)
+        term += other
+        np.log(term, out=term)
+        log_scores += term
+    log_scores -= log_scores.max(axis=0)
+    scores = np.exp(log_scores, out=log_scores)
+    scores /= np.ascontiguousarray(scores.T).sum(axis=1)
+    return np.ascontiguousarray(scores.T)
+
+
+def _block_edge_sizes(block):
+    return (0, 1, block - 1, block, block + 1, 2 * block + 17)
+
+
+@pytest.mark.parametrize("n_attributes, n_categories", [(10, 10), (3, 20), (0, 4)])
+def test_row_blocks_are_bit_identical_to_one_block(n_attributes, n_categories):
+    rng = np.random.default_rng(n_attributes * 100 + n_categories)
+    rates = rng.uniform(0, 1, (n_attributes, n_categories))
+    rates[rng.random(rates.shape) < 0.1] = 0.0  # clamped at inference
+    rates[rng.random(rates.shape) < 0.1] = 1.0
+    for n in _block_edge_sizes(crf._BLOCK_ROWS):
+        probs = rng.uniform(1e-6, 1 - 1e-6, (n, n_attributes))
+        # The linear link's clamp edges, as the harness passes them.
+        probs[rng.random(probs.shape) < 0.1] = 1e-6
+        probs[rng.random(probs.shape) < 0.1] = 1 - 1e-6
+        expected = _whole_posterior_batch(rates, probs, n_categories)
+        got = crf_posterior_batch(rates, probs, n_categories)
+        assert got.shape == expected.shape == (n, n_categories)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_small_blocks_are_bit_identical_to_one_block(monkeypatch):
+    # Blocks of 7 rows cut a batch at many row offsets, none of them aligned.
+    monkeypatch.setattr(crf, "_BLOCK_ROWS", 7)
+    rng = np.random.default_rng(8)
+    rates = rng.uniform(0, 1, (6, 9))
+    for n in (6, 7, 8, 50, 301):
+        probs = rng.uniform(1e-6, 1 - 1e-6, (n, 6))
+        expected = _whole_posterior_batch(rates, probs, 9)
+        got = crf_posterior_batch(rates, probs, 9)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def test_estimate_matrix_counts_fractions():

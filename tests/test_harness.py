@@ -10,7 +10,9 @@ import signal
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from statistics import fmean
 
 import numpy as np
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coopattr.crf as crf
 import coopattr.harness as harness
 from coopattr import (
     DISTRACTOR,
@@ -39,6 +42,7 @@ from coopattr import (
     run_experiment,
 )
 from coopattr.config import ExperimentConfig, load_experiment_config, loop_config, world_config
+from coopattr.linear import AttributeModelBank, CategoryModelBank
 from coopattr.pool import LABELED, TEST, UNASSIGNED, UNLABELED
 from coopattr.synthetic import AgentDomain, SyntheticWorld
 
@@ -854,6 +858,91 @@ def test_default_size_records_match_golden_digest(variant, default_world):
     loop = loop_config(ExperimentConfig())
     text = records_to_csv(run_experiment(variant, default_world, 3, loop))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DEFAULT_RECORDS[variant]
+
+
+# The CRF scores every pool here in one block of crf._BLOCK_ROWS rows. With
+# blocks of 7 rows the same runs cross many block edges and must give the
+# same records; the worker forks after the patch and inherits it.
+_ODD_BLOCK = 7
+
+
+@pytest.mark.parametrize("variant", list(GOLDEN_RECORDS), ids=lambda v: v.name)
+def test_small_crf_blocks_match_golden_digest(variant, small_world, monkeypatch):
+    monkeypatch.setattr(crf, "_BLOCK_ROWS", _ODD_BLOCK)
+    text = records_to_csv(run_experiment(variant, small_world, 6, _FAST))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_RECORDS[variant]
+
+
+@pytest.mark.parametrize("variant", list(GOLDEN_DEFAULT_RECORDS), ids=lambda v: v.name)
+def test_small_crf_blocks_match_default_size_golden_digest(variant, default_world, monkeypatch):
+    monkeypatch.setattr(crf, "_BLOCK_ROWS", _ODD_BLOCK)
+    loop = loop_config(ExperimentConfig())
+    text = records_to_csv(run_experiment(variant, default_world, 3, loop))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DEFAULT_RECORDS[variant]
+
+
+_WIDE = ExperimentConfig(unlabeled_per_category=1000, n_distractors=20000, transfers_per_category=5)
+
+# SHA-256 of records_to_csv for 2 iterations of COOPERATIVE_WEIGHTED on the
+# wide-pool world of seed 0 (the benchmark's wide_pool settings), recorded
+# while the CRF still scored a whole pool in one block. Its ~20,000-row
+# pools span several blocks.
+GOLDEN_WIDE_POOL_RECORDS = "f3b69acc847b9c90669c1dafeb6807f87a93316fb8b3c8952b9aa88ed711355b"
+
+
+def test_wide_pool_records_match_golden_digest():
+    world = generate_world(world_config(_WIDE, 0))
+    assert np.count_nonzero(world.domains[0].pool.split == UNLABELED) > 2 * crf._BLOCK_ROWS
+    records = run_experiment(LearnerVariant.COOPERATIVE_WEIGHTED, world, 2, loop_config(_WIDE))
+    text = records_to_csv(records)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_WIDE_POOL_RECORDS
+
+
+def _scoring_agent(n_rows, n_categories=10, n_attributes=10, dim=12, seed=0):
+    """An attribute-aware agent's banks and matrix, and ``n_rows`` feature rows."""
+    rng = np.random.default_rng(seed)
+    run = SimpleNamespace(
+        category_bank=CategoryModelBank(
+            rng.normal(size=(dim, n_categories)), rng.normal(size=n_categories)
+        ),
+        attribute_bank=AttributeModelBank(
+            rng.normal(size=(dim, n_attributes)), rng.normal(size=n_attributes)
+        ),
+        matrix=rng.uniform(0, 1, (n_attributes, n_categories)),
+    )
+    return run, rng.normal(scale=2.0, size=(n_rows, dim))
+
+
+def test_agent_posterior_is_bit_identical_to_the_whole_array_average():
+    block = crf._BLOCK_ROWS
+    for n in (0, 1, block - 1, block, block + 1, 2 * block + 17):
+        run, features = _scoring_agent(n, seed=n)
+        p_fc = run.category_bank.posterior_batch(features)
+        p_ac = crf.crf_posterior_batch(
+            run.matrix, run.attribute_bank.probs_batch(features), 10
+        )
+        expected = 0.5 * (p_fc + p_ac)  # the earlier form, verbatim
+        got = harness._agent_posterior(run, features, True, 10)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_agent_posterior_memory_is_bounded_by_its_output_and_one_block():
+    n, width = 20_000, 10
+    run, features = _scoring_agent(n)
+    # Live at the peak: the feature posterior (which becomes the result), the
+    # attribute unaries and the CRF posterior, each n x 10 floats, plus one
+    # CRF block's scratch: five slabs of _BLOCK_ROWS x 10 floats and a
+    # sixth's worth of row vectors and allocator slack.
+    output = n * width * 8
+    bound = 3 * output + 6 * crf._BLOCK_ROWS * width * 8
+    tracemalloc.start()
+    try:
+        result = harness._agent_posterior(run, features, True, width)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.nbytes == output
+    assert peak <= bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
 
 
 def _world_digest(world) -> str:

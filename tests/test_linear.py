@@ -14,7 +14,9 @@ from coopattr import (
     train_attribute_bank,
     train_category_bank,
 )
+from coopattr.crf import _BLOCK_ROWS
 from coopattr.linear import (
+    PROB_CLAMP,
     AttributeModelBank,
     CategoryModelBank,
     _sigmoid,
@@ -271,9 +273,48 @@ def test_sigmoid_is_bit_identical_to_masked_form():
     edges = [0.0, -0.0, 800.0, -800.0, 1e-320, -1e-320]
     z = np.concatenate([rng.normal(scale=30.0, size=100_000), edges])
     with np.errstate(over="raise", invalid="raise"):
-        got = _sigmoid(z)
+        got = _sigmoid(z.copy())  # _sigmoid overwrites its argument
         want = _masked_sigmoid(z)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _whole_probs(bank, features):
+    # The earlier _probs with its pure sigmoid, verbatim: every step makes a
+    # new full-size array.
+    z = features @ bank.weights + bank.bias
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    numerator = np.maximum(e, z >= 0)
+    e += 1.0
+    numerator /= e
+    return np.clip(numerator, PROB_CLAMP, 1.0 - PROB_CLAMP)
+
+
+def _whole_posterior_batch(bank, features):
+    raw = _whole_probs(bank, features)
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+def test_in_place_link_is_bit_identical_to_whole_array_form():
+    rng = np.random.default_rng(21)
+    weights = rng.normal(size=(12, 10))
+    bias = rng.normal(size=10)
+    bias[:2] = (40.0, -40.0)  # columns at the clamp edges
+    banks = (CategoryModelBank(weights, bias), AttributeModelBank(weights, bias))
+    for n in (0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 17):
+        features = rng.normal(scale=3.0, size=(n, 12))
+        features[: n // 3] *= 20.0  # whole rows beyond the clamp
+        pairs = (
+            (banks[0].posterior_batch(features), _whole_posterior_batch(banks[0], features)),
+            (banks[1].probs_batch(features), _whole_probs(banks[1], features)),
+        )
+        for got, want in pairs:
+            assert got.shape == want.shape == (n, 10)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        if n > 1:
+            probs = pairs[1][0]
+            assert (probs == PROB_CLAMP).any() and (probs == 1.0 - PROB_CLAMP).any()
 
 
 def test_train_banks_matches_separate_banks():

@@ -16,6 +16,7 @@ from coopattr import (
     select_prunes,
     select_transfers,
 )
+from coopattr.crf import _BLOCK_ROWS
 
 
 # The per-row implementations the array selection replaced, kept verbatim as
@@ -121,6 +122,29 @@ def test_row_entropy_is_bit_identical_to_per_row_form():
         np.testing.assert_allclose(entropy(rows), reference, rtol=4 * np.finfo(float).eps)
 
 
+def _whole_entropy(posterior):
+    # The earlier np.where form of entropy, verbatim.
+    p = np.ascontiguousarray(posterior, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -np.where(p > 0.0, p * np.log(p), 0.0).sum(axis=-1)
+    return float(h) if h.ndim == 0 else h
+
+
+def test_in_place_entropy_is_bit_identical_to_where_form():
+    rng = np.random.default_rng(17)
+    for n in (0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 17):
+        rows = _positive_rows(rng, n, 10)
+        rows[rng.random(rows.shape) < 0.2] = 0.0  # exact zeros
+        rows[: n // 4, 1:] = 0.0
+        rows[: n // 4, 0] = 1.0  # one-hot rows
+        rows[n // 4 : n // 2] = 1e-6  # the linear link's clamp edge
+        got, want = entropy(rows), _whole_entropy(rows)
+        assert got.shape == want.shape == (n,)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for row in ([1.0, 0.0, 0.0], [0.5, 0.5], [0.0, 0.25, 0.75]):
+        assert entropy(row) == _whole_entropy(row)
+
+
 def test_entropy_reference_values():
     assert entropy(np.full(10, 0.1)) == pytest.approx(math.log(10), abs=1e-12)
     assert entropy([1.0, 0.0, 0.0]) == 0.0
@@ -176,6 +200,26 @@ def test_select_transfers_no_duplicates_and_respects_count():
         per_cat[cat] = per_cat.get(cat, 0) + 1
     assert all(v <= 3 for v in per_cat.values())
     assert np.array_equal(select_transfers(np.arange(60), rows, 3), chosen)  # deterministic
+
+
+def test_selection_keeps_every_tie_at_the_cut():
+    # Per category, rows inside the cut, five rows tied at it under shuffled
+    # ids, and rows beyond it: from count 3 the cut falls inside the ties.
+    rows = np.vstack([
+        _binary(0.99, 0.97), _binary(*[0.9] * 5), _binary(0.6, 0.7),
+        _binary(0.02, 0.04), _binary(*[0.15] * 5), _binary(0.4, 0.3),
+    ])
+    ids = np.random.default_rng(4).permutation(100)[: rows.shape[0]]
+    categories = np.argmax(rows, axis=1)
+    for count in range(1, 11):
+        chosen = select_transfers(ids, rows, count)
+        expected = _reference_select_transfers(list(zip(ids, rows)), count)
+        assert [tuple(pick) for pick in chosen.tolist()] == expected
+        for assigned in (categories, categories - 1):  # negative labels too
+            pruned = select_prunes(ids, assigned, rows, count)
+            assert pruned.tolist() == _reference_select_prunes(
+                list(zip(ids, assigned, rows)), count
+            )
 
 
 def test_select_transfers_rejects_bad_count():
