@@ -42,21 +42,21 @@ class ExperimentConfig:
     world_matrix_low: float = 0.10
     world_matrix_high: float = 0.90
     # Bootstrap loop
-    transfers_per_category: int = 2
-    prunes_per_category: int = 6
-    prune_every: int = 5
+    transfers_per_category: int = LoopConfig.transfers_per_category
+    prunes_per_category: int = LoopConfig.prunes_per_category
+    prune_every: int = LoopConfig.prune_every
     # Classifier training
-    l2: float = 1e-3
-    learning_rate: float = 0.5
-    max_iters: int = 500
+    l2: float = TrainConfig.l2
+    learning_rate: float = TrainConfig.learning_rate
+    max_iters: int = TrainConfig.max_iters
     # Noise study
     noise_levels: int = 6
     good_accuracy_target: float = 0.92
     bad_accuracy_target: float = 0.575
-    noise_labeled_count: int = 50
-    noise_test_count: int = 200
-    noise_seeds: int = 20
-    noise_rng_seed: int = 0
+    noise_labeled_count: int = NoiseStudyConfig.labeled_count
+    noise_test_count: int = NoiseStudyConfig.test_count
+    noise_seeds: int = NoiseSweepConfig.n_seeds
+    noise_rng_seed: int = NoiseStudyConfig.rng_seed
 
     def __post_init__(self):
         # Build what a run builds, so a bad value fails when the file loads;

@@ -9,12 +9,28 @@ message
 
     rate(j, i) * p(a_j present | x) + (1 - rate(j, i)) * (1 - p(a_j present | x)).
 
-Messages are accumulated in log space to avoid underflow; the priors are
-constant across categories and cancel in the normalization. The batch kernel
-works category-major, one attribute at a time, on (N, b) slabs of at most
-``_BLOCK_ROWS`` examples, and writes each block's rows into one (n, N)
-result; see :func:`crf_posterior_batch` for why that keeps every bit of the
-result.
+Two kernels share the message slabs (``_messages``): they work
+category-major, one attribute at a time, on (N, b) slabs of at most
+``_BLOCK_ROWS`` examples.
+
+- :func:`crf_posterior_batch` accumulates the messages in log space, so
+  nothing underflows; the priors are constant across categories and cancel
+  in the normalization. It writes each block's rows into one (n, N) result;
+  see its docstring for why that keeps every bit of the result.
+- :func:`crf_argmax_batch` returns only each row's most probable category,
+  which is all the noise study reads. It multiplies the messages into a
+  running product: no log, exp or normaliser. It must give exactly the
+  argmax of the posterior, so a guard decides which rows the product may
+  settle. With u = 2**-53, a message carries a relative error of about 2u.
+  The log kernel's scores then differ from the exact log-probabilities by at
+  most about (M + M**2) * 16u, and the product from the exact product by a
+  relative 2M u or so, while its partial products stay normal floats. A row
+  is decided by its product when the best one beats every other category's
+  by the relative margin 1e-12 * (M + 1)**2, more than 100 times both
+  bounds, and is at least 1e-290, so no partial product of the best is
+  subnormal (each message is below 1). Both kernels then see one strict
+  maximum at the same category. The other rows (exact or near ties,
+  underflow, M = 0) go to :func:`crf_posterior_batch`.
 """
 from __future__ import annotations
 
@@ -36,6 +52,12 @@ MAX_ENUMERATION_ATTRIBUTES = 20
 #: or (M, b) slabs stay within a few hundred KB, and a noise-study call
 #: (2000 rows) or a loop over a default-sized pool stays one block.
 _BLOCK_ROWS = 4096
+
+#: The guard of :func:`crf_argmax_batch`: a row's best product must beat
+#: every other by the relative margin ``_ARGMAX_MARGIN * (M + 1)**2`` and be
+#: at least ``_ARGMAX_FLOOR``; the module docstring gives the error bounds.
+_ARGMAX_MARGIN = 1e-12
+_ARGMAX_FLOOR = 1e-290
 
 
 def estimate_matrix_from_labels(
@@ -126,24 +148,74 @@ def crf_posterior_batch(
     return result
 
 
-def _posterior_block(rates, off, probs, out) -> None:
-    """Write the posteriors of the (b, M) ``probs`` rows into the C-contiguous
-    (b, N) ``out``; the kernel of :func:`crf_posterior_batch`."""
+def _messages(rates, off, probs):
+    """Yield each attribute's two-state message to every category, in
+    ascending attribute order, as the same (N, b) buffer for the (b, M)
+    ``probs`` rows; a consumer may overwrite it before taking the next."""
     p_t = np.ascontiguousarray(probs.T)
     q_t = 1.0 - p_t
     shape = (rates.shape[1], probs.shape[0])
-    term, other, log_scores = np.empty(shape), np.empty(shape), np.zeros(shape)
-    # 0.0 + x == x exactly and log never returns -0.0, so starting from zeros
-    # changes no bit; with no attributes every row stays uniform.
+    term, other = np.empty(shape), np.empty(shape)
     for j in range(rates.shape[0]):
         np.multiply(rates[j, :, None], p_t[j], out=term)
         np.multiply(off[j, :, None], q_t[j], out=other)
         term += other
-        np.log(term, out=term)
-        log_scores += term
+        yield term
+
+
+def _posterior_block(rates, off, probs, out) -> None:
+    """Write the posteriors of the (b, M) ``probs`` rows into the C-contiguous
+    (b, N) ``out``; the kernel of :func:`crf_posterior_batch`."""
+    # 0.0 + x == x exactly and log never returns -0.0, so starting from zeros
+    # changes no bit; with no attributes every row stays uniform.
+    log_scores = np.zeros((rates.shape[1], probs.shape[0]))
+    for term in _messages(rates, off, probs):
+        log_scores += np.log(term, out=term)
     log_scores -= log_scores.max(axis=0)
     out[...] = np.exp(log_scores, out=log_scores).T
     out /= out.sum(axis=1, keepdims=True)
+
+
+def crf_argmax_batch(
+    matrix: AttributeCategoryMatrix | np.ndarray,
+    attr_probs: np.ndarray,
+    n_categories: int,
+) -> np.ndarray:
+    """The most probable category of each attribute-probability row: equal,
+    row by row, to ``np.argmax(crf_posterior_batch(...), axis=1)``.
+
+    Each block multiplies the messages into a running (N, b) product, with no
+    log, exp or normaliser. A row whose best product beats every other
+    category's by the relative margin ``_ARGMAX_MARGIN * (M + 1)**2``, and is
+    at least ``_ARGMAX_FLOOR``, is decided by its product; the others (ties,
+    near ties, underflow, no attributes) are scored by
+    :func:`crf_posterior_batch`, whose rows depend only on their own input
+    row, so they get exactly its argmax.
+    """
+    rates, probs = _conditioned(matrix, attr_probs, n_categories)
+    if probs.ndim != 2:
+        raise ConfigurationError("attr_probs batch must be (n_examples, n_attributes)")
+    off = 1.0 - rates
+    margin = 1.0 + _ARGMAX_MARGIN * (rates.shape[0] + 1) ** 2
+    # Row 0 counts each row's categories within the margin of its best
+    # product; row 1 sums their indices, which is the best one when it is
+    # the only one. The sums are small integers, exact in any order.
+    count_and_index = np.stack((np.ones(n_categories), np.arange(n_categories)))
+    result = np.empty(probs.shape[0], dtype=np.intp)
+    undecided = np.empty(probs.shape[0], dtype=bool)
+    for start in range(0, probs.shape[0], _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        product = np.ones((n_categories, probs[block].shape[0]))
+        for term in _messages(rates, off, probs[block]):
+            product *= term
+        top = product.max(axis=0)
+        product *= margin
+        count, result[block] = count_and_index @ (product >= top)
+        undecided[block] = (count != 1) | (top < _ARGMAX_FLOOR)
+    rows = np.flatnonzero(undecided)
+    if rows.size:
+        result[rows] = np.argmax(crf_posterior_batch(matrix, probs[rows], n_categories), axis=1)
+    return result
 
 
 def crf_posterior(

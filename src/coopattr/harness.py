@@ -44,7 +44,7 @@ from statistics import fmean
 
 import numpy as np
 
-from .crf import crf_posterior_batch, estimate_matrix_from_labels
+from .crf import crf_argmax_batch, crf_posterior_batch, estimate_matrix_from_labels
 from .errors import ConfigurationError, StateError
 from .linear import (
     TrainConfig,
@@ -571,8 +571,8 @@ def _score_noise_seeds(sweep: NoiseSweepConfig, seeds) -> list[tuple[list, list,
             predictions = data.predictions(study, float(level))
             for agent in (0, 1):
                 unary = predictions[agent]
-                own_preds = np.argmax(crf_posterior_batch(matrices[agent], unary, n_cat), axis=1)
-                fused_preds = np.argmax(crf_posterior_batch(fused, unary, n_cat), axis=1)
+                own_preds = crf_argmax_batch(matrices[agent], unary, n_cat)
+                fused_preds = crf_argmax_batch(fused, unary, n_cat)
                 baseline.append(
                     compute_class_average_accuracy(own_preds, data.test_categories, n_cat)
                 )

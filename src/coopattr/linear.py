@@ -66,6 +66,10 @@ def _fit(features: np.ndarray, targets: np.ndarray, config: TrainConfig):
     test. Each column's update depends only on its own weights, so fitting k
     classifiers that share the feature matrix in one call gives the same bits
     as fitting them one by one.
+
+    A step too large for the loss's curvature makes descent diverge. So a
+    fit raises ``TrainingError`` when a column's final L2-regularised mean
+    logistic loss exceeds log 2, its value at the zero start.
     """
     n, dim = features.shape
     k = targets.shape[1]
@@ -82,6 +86,19 @@ def _fit(features: np.ndarray, targets: np.ndarray, config: TrainConfig):
         grad_b = residual.sum(axis=0)
         weights -= config.learning_rate * grad_w
         bias -= config.learning_rate * grad_b
+    z = features @ weights
+    z += bias
+    # log(1 + e^z) - y z is the logistic loss of score z for target y.
+    loss = (np.logaddexp(0.0, z) - targets * z).mean(axis=0)
+    loss += 0.5 * config.l2 * (weights * weights).sum(axis=0)
+    diverged = np.flatnonzero(loss > math.log(2.0))
+    if diverged.size:
+        worst = int(np.argmax(loss))
+        raise TrainingError(
+            f"gradient descent diverged at learning_rate {config.learning_rate!r}: "
+            f"{diverged.size} of {k} fitted columns end above the zero-weight loss "
+            f"log 2, column {worst} at {loss[worst]:.3g}"
+        )
     return weights, bias
 
 

@@ -2,16 +2,17 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import pytest
 
-from coopattr import ConfigurationError
+from coopattr import ConfigurationError, LoopConfig, NoiseStudyConfig, default_noise_sweep
 from coopattr.cli import main
 from coopattr.config import (
     ExperimentConfig,
     load_experiment_config,
     loop_config,
+    noise_study_config,
     noise_sweep_config,
     parse_flat_config,
     world_config,
@@ -90,6 +91,15 @@ def test_load_experiment_config_defaults_and_overrides(tmp_path):
     assert cfg.n_distractors == 10
     assert cfg.feature_noise_std_a == 0.2
     assert cfg.n_categories == ExperimentConfig().n_categories
+
+
+def test_default_config_builds_the_component_defaults():
+    # Criterion 5 runs LoopConfig(); criteria 3 and 4 run the config file's.
+    cfg = ExperimentConfig()
+    assert loop_config(cfg) == LoopConfig()
+    # NoiseStudyConfig compares by identity (eq=False), so compare fields.
+    assert asdict(noise_study_config(cfg)) == asdict(NoiseStudyConfig())
+    assert asdict(noise_sweep_config(cfg)) == asdict(default_noise_sweep())
 
 
 def test_load_experiment_config_rejects_unknown_key(tmp_path):

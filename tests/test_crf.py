@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coopattr import (
@@ -16,7 +16,7 @@ from coopattr import (
     estimate_matrix_from_labels,
 )
 from coopattr import crf
-from coopattr.crf import MATRIX_CLAMP, _conditioned, crf_posterior_batch
+from coopattr.crf import MATRIX_CLAMP, _conditioned, crf_argmax_batch, crf_posterior_batch
 
 
 def _enumerated_scores(rates, probs, n_categories):
@@ -273,6 +273,63 @@ def test_small_blocks_are_bit_identical_to_one_block(monkeypatch):
         expected = _whole_posterior_batch(rates, probs, 9)
         got = crf_posterior_batch(rates, probs, 9)
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def _argmax_case(kind, seed, n_rows):
+    """Rates, unaries and category count of one case of ``kind`` for the
+    argmax kernel's oracle test."""
+    rng = np.random.default_rng(seed)
+    n_categories = int(rng.integers(2, 7))
+    n_attributes = 0 if kind == "no_attributes" else int(rng.integers(1, 13))
+    rates = rng.uniform(0, 1, (n_attributes, n_categories))
+    probs = rng.uniform(0, 1, (n_rows, n_attributes)).clip(1e-6, 1 - 1e-6)
+    if kind in ("tie", "near_tie"):
+        rates[:, -1] = rates[:, 0]
+        if kind == "near_tie":
+            j = rng.integers(n_attributes)
+            rates[j, -1] = np.nextafter(rates[j, -1], rng.choice([0.0, 1.0]))
+    elif kind == "clamped":
+        rates[rng.random(rates.shape) < 0.3] = 0.0
+        rates[rng.random(rates.shape) < 0.3] = 1.0
+        probs[rng.random(probs.shape) < 0.3] = 1e-6
+        probs[rng.random(probs.shape) < 0.3] = 1 - 1e-6
+    elif kind == "underflow":
+        # Columns within 0.1% of each other. The first 60 attributes, which
+        # every category rates present, scale each row's products to between
+        # 1e-323 and 1e-312, where floats are subnormal and lose precision.
+        lead = 60
+        rates = rng.uniform(0.3, 0.7, (lead + 20, 1))
+        rates = rates * (1 + rng.normal(0, 1e-3, (lead + 20, n_categories)))
+        rates[:lead] = 1.0
+        probs = rng.uniform(0.3, 0.7, (n_rows, lead + 20))
+        scale = rng.uniform(np.log(1e-323), np.log(1e-312), n_rows)
+        probs[:, :lead] = np.exp(scale / lead)[:, None]
+    return rates, probs, n_categories
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "tie", "near_tie", "clamped", "no_attributes", "underflow"]),
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.one_of(st.just(0), st.integers(1, 400)),
+    block_rows=st.sampled_from([3, 64, crf._BLOCK_ROWS]),
+)
+# Pinned cases that fail without the margin and without the underflow floor.
+@example(kind="near_tie", seed=1, n_rows=300, block_rows=64)
+@example(kind="underflow", seed=1, n_rows=500, block_rows=64)
+def test_argmax_kernel_matches_posterior_argmax(kind, seed, n_rows, block_rows):
+    rates, probs, n_categories = _argmax_case(kind, seed, n_rows)
+    expected = np.argmax(crf_posterior_batch(rates, probs, n_categories), axis=1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(crf, "_BLOCK_ROWS", block_rows)
+        got = crf_argmax_batch(rates, probs, n_categories)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, expected)
+
+
+def test_argmax_kernel_rejects_single_row():
+    with pytest.raises(ConfigurationError):
+        crf_argmax_batch(np.full((2, 3), 0.5), np.full(2, 0.5), 3)
 
 
 def test_estimate_matrix_counts_fractions():

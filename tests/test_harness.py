@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -41,10 +42,18 @@ from coopattr import (
     records_to_csv,
     run_experiment,
 )
-from coopattr.config import ExperimentConfig, load_experiment_config, loop_config, world_config
+from coopattr.config import (
+    ExperimentConfig,
+    load_experiment_config,
+    loop_config,
+    noise_sweep_config,
+    world_config,
+)
 from coopattr.linear import AttributeModelBank, CategoryModelBank
 from coopattr.pool import LABELED, TEST, UNASSIGNED, UNLABELED
 from coopattr.synthetic import AgentDomain, SyntheticWorld
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _small_config(**overrides):
@@ -411,6 +420,64 @@ def test_noise_study_levels_match_single_level_sweeps():
     assert harness.run_noise_study(sweep) == alone
 
 
+_POSTERIOR = crf.crf_posterior_batch
+
+
+def _posterior_argmax_scores(sweep, seeds):
+    # The reference for harness._score_noise_seeds: its earlier form, verbatim
+    # but for the module-qualified names, which takes the argmax of each full
+    # posterior.
+    study = sweep.study
+    n_cat, n_attr = study.n_categories, study.n_attributes
+    good_columns = harness.good_attribute_mask(study)
+    scores = [([], [], [], []) for _ in sweep.levels]
+    for k in seeds:
+        data = harness.generate_noise_dataset(harness.replace(study, rng_seed=study.rng_seed + k))
+        matrices = [
+            harness.estimate_matrix_from_labels(
+                data.labeled_categories[agent], data.labeled_attributes[agent], n_cat, n_attr
+            )
+            for agent in (0, 1)
+        ]
+        fused = harness.fuse_uniform(matrices[0], [matrices[1]])
+        truth = data.test_attributes.astype(bool)
+        for level, (baseline, cooperative, good_acc, bad_acc) in zip(sweep.levels, scores):
+            predictions = data.predictions(study, float(level))
+            for agent in (0, 1):
+                unary = predictions[agent]
+                own_preds = np.argmax(_POSTERIOR(matrices[agent], unary, n_cat), axis=1)
+                fused_preds = np.argmax(_POSTERIOR(fused, unary, n_cat), axis=1)
+                baseline.append(
+                    compute_class_average_accuracy(own_preds, data.test_categories, n_cat)
+                )
+                cooperative.append(
+                    compute_class_average_accuracy(fused_preds, data.test_categories, n_cat)
+                )
+                hits = (unary > 0.5) == truth
+                good_acc.append(float(hits[:, good_columns[agent]].mean()))
+                bad_acc.append(float(hits[:, ~good_columns[agent]].mean()))
+    return scores
+
+
+@pytest.mark.parametrize("config_file", [None, "noise_sweep.cfg"], ids=["default", "noise_sweep"])
+def test_noise_scores_match_posterior_argmax_reference(config_file, monkeypatch):
+    path = config_file and _PERFBENCH / "configs" / config_file
+    sweep = noise_sweep_config(load_experiment_config(path))
+    fallback_rows = []
+
+    def posterior(matrix, attr_probs, n_categories):
+        fallback_rows.append(len(attr_probs))
+        return _POSTERIOR(matrix, attr_probs, n_categories)
+
+    monkeypatch.setattr(crf, "crf_posterior_batch", posterior)
+    scores = harness._score_noise_seeds(sweep, range(3))
+    monkeypatch.undo()
+    assert scores == _posterior_argmax_scores(sweep, range(3))
+    if config_file:
+        # Seed 0 at the benchmark's sizes has rows the product leaves undecided.
+        assert fallback_rows
+
+
 @pytest.mark.parametrize("level", [float("nan"), float("inf"), -0.5])
 def test_noise_sweep_config_rejects_bad_level(level):
     from coopattr import NoiseStudyConfig, NoiseSweepConfig
@@ -513,6 +580,14 @@ def _second_thread():
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+    # join returns when the thread's interpreter state is gone, a moment
+    # before the system stops listing the thread in /proc/self/task, which
+    # the next fork check reads.
+    listed = f"/proc/self/task/{thread.native_id}"
+    for _ in range(1000):
+        if not os.path.exists(listed):
+            break
+        time.sleep(0.01)
 
 
 @pytest.mark.parametrize("variant", _LOOPING, ids=lambda v: v.name)
@@ -988,9 +1063,6 @@ def test_run_experiment_never_builds_the_examples_view():
     assert list(view) == domain.ids.tolist()
     assert [r.true_category for r in view.values()] == domain.true_category.tolist()
     assert all(view[i].id == i for i in view)
-
-
-_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _benchmark_tracer():

@@ -14,6 +14,7 @@ from coopattr import (
     train_attribute_bank,
     train_category_bank,
 )
+from coopattr.config import ExperimentConfig, world_config
 from coopattr.crf import _BLOCK_ROWS
 from coopattr.linear import (
     PROB_CLAMP,
@@ -23,6 +24,8 @@ from coopattr.linear import (
     attribute_accuracy_arrays,
     train_banks,
 )
+from coopattr.pool import LABELED
+from coopattr.synthetic import generate_world
 
 
 def _train_one(positives, negatives, config=None) -> AttributeModelBank:
@@ -369,3 +372,16 @@ def test_train_banks_rejects_missing_category():
 def test_train_config_rejects_bad_value(field, value):
     with pytest.raises(ConfigurationError):
         TrainConfig(**{field: value})
+
+
+def test_divergent_step_raises_training_error():
+    # The labeled seeds of the trend benchmark's world 0 (the default config),
+    # agent 0. Fits at learning_rate x max_iters = 250 stay below log 2 up to
+    # a step of 10; a step of 50 diverges.
+    domain = generate_world(world_config(ExperimentConfig(), 0)).domains[0]
+    labeled = domain.pool.split == LABELED
+    data = (domain.features[labeled], domain.pool.category[labeled], domain.pool.bits[labeled], 10)
+    for learning_rate in (0.5, 1.0, 2.0, 5.0, 10.0):
+        train_banks(*data, TrainConfig(learning_rate=learning_rate, max_iters=int(250 / learning_rate)))
+    with pytest.raises(TrainingError, match=r"learning_rate 50\.0: 5 of 20 .* column 9 at 2\.91"):
+        train_banks(*data, TrainConfig(learning_rate=50.0, max_iters=5))
