@@ -91,7 +91,17 @@ def estimate_matrix_from_labels(
     return AttributeCategoryMatrix(values)
 
 
-def _conditioned(matrix, attr_probs, n_categories):
+#: The message for ``attr_probs`` of the wrong rank, by the rank expected.
+_RANK_ERRORS = {
+    1: "attr_probs must be a 1-D vector",
+    2: "attr_probs batch must be (n_examples, n_attributes)",
+}
+
+
+def _conditioned(matrix, attr_probs, n_categories, ndim):
+    probs = np.asarray(attr_probs, dtype=float)
+    if probs.ndim != ndim:
+        raise ConfigurationError(_RANK_ERRORS[ndim])
     if not isinstance(matrix, AttributeCategoryMatrix):
         matrix = AttributeCategoryMatrix(matrix)
     values = matrix.values
@@ -99,7 +109,6 @@ def _conditioned(matrix, attr_probs, n_categories):
         raise ConfigurationError(
             f"matrix has {values.shape[1]} categories, expected {n_categories}"
         )
-    probs = np.asarray(attr_probs, dtype=float)
     if probs.shape[-1] != values.shape[0]:
         raise ConfigurationError(
             f"got {probs.shape[-1]} attribute probabilities for {values.shape[0]} attributes"
@@ -137,9 +146,7 @@ def crf_posterior_batch(
     pairwise once it has 8 or more elements, and a sum down the slab's first
     axis would group the terms differently and move the last bit.
     """
-    rates, probs = _conditioned(matrix, attr_probs, n_categories)
-    if probs.ndim != 2:
-        raise ConfigurationError("attr_probs batch must be (n_examples, n_attributes)")
+    rates, probs = _conditioned(matrix, attr_probs, n_categories, 2)
     off = 1.0 - rates
     result = np.empty((probs.shape[0], n_categories))
     for start in range(0, probs.shape[0], _BLOCK_ROWS):
@@ -192,9 +199,7 @@ def crf_argmax_batch(
     :func:`crf_posterior_batch`, whose rows depend only on their own input
     row, so they get exactly its argmax.
     """
-    rates, probs = _conditioned(matrix, attr_probs, n_categories)
-    if probs.ndim != 2:
-        raise ConfigurationError("attr_probs batch must be (n_examples, n_attributes)")
+    rates, probs = _conditioned(matrix, attr_probs, n_categories, 2)
     off = 1.0 - rates
     margin = 1.0 + _ARGMAX_MARGIN * (rates.shape[0] + 1) ** 2
     # Row 0 counts each row's categories within the margin of its best
@@ -240,9 +245,7 @@ def brute_force_posterior(
     Test oracle for :func:`crf_posterior`; it never uses the factorized message
     product. Refuses M > 20 for feasibility.
     """
-    rates, probs = _conditioned(matrix, np.asarray(attr_probs, dtype=float), n_categories)
-    if probs.ndim != 1:
-        raise ConfigurationError("attr_probs must be a 1-D vector")
+    rates, probs = _conditioned(matrix, attr_probs, n_categories, 1)
     n_attributes = rates.shape[0]
     if n_attributes > MAX_ENUMERATION_ATTRIBUTES:
         raise FeasibilityError(

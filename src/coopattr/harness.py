@@ -540,6 +540,8 @@ def default_noise_sweep(
     ``rng_seed``, which also seeds the calibration, and the calibrated
     ``bad_noise_std``; its other fields come from ``study``."""
     check_accuracy_targets(good_accuracy_target, bad_accuracy_target)
+    if n_levels < 1:
+        raise ConfigurationError("sweep needs at least one noise level")
     sigma_good = calibrate_noise_std(good_accuracy_target, rng_seed=rng_seed)
     sigma_bad = calibrate_noise_std(bad_accuracy_target, rng_seed=rng_seed)
     base = replace(study or NoiseStudyConfig(), rng_seed=rng_seed, bad_noise_std=sigma_bad)

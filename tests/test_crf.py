@@ -181,9 +181,7 @@ def test_batch_matches_single_example_path():
 
 def _broadcast_posterior_batch(matrix, attr_probs, n_categories):
     # The earlier (n, M, N) broadcast form of crf_posterior_batch, verbatim.
-    rates, probs = _conditioned(matrix, attr_probs, n_categories)
-    if probs.ndim != 2:
-        raise ConfigurationError("attr_probs batch must be (n_examples, n_attributes)")
+    rates, probs = _conditioned(matrix, attr_probs, n_categories, 2)
     messages = probs[:, :, None] * rates[None, :, :] + (1.0 - probs)[:, :, None] * (
         1.0 - rates
     )[None, :, :]
@@ -221,9 +219,7 @@ def test_category_major_kernel_is_bit_identical_to_broadcast_form(
 def _whole_posterior_batch(matrix, attr_probs, n_categories):
     # The earlier one-block form of crf_posterior_batch, verbatim: (N, n)
     # slabs over the whole batch.
-    rates, probs = _conditioned(matrix, attr_probs, n_categories)
-    if probs.ndim != 2:
-        raise ConfigurationError("attr_probs batch must be (n_examples, n_attributes)")
+    rates, probs = _conditioned(matrix, attr_probs, n_categories, 2)
     p_t = np.ascontiguousarray(probs.T)
     q_t = 1.0 - p_t
     off = 1.0 - rates
@@ -330,6 +326,33 @@ def test_argmax_kernel_matches_posterior_argmax(kind, seed, n_rows, block_rows):
 def test_argmax_kernel_rejects_single_row():
     with pytest.raises(ConfigurationError):
         crf_argmax_batch(np.full((2, 3), 0.5), np.full(2, 0.5), 3)
+
+
+_RANK_MESSAGES = {
+    1: r"attr_probs must be a 1-D vector",
+    2: r"attr_probs batch must be \(n_examples, n_attributes\)",
+}
+
+
+@pytest.mark.parametrize(
+    "entry, rank, probs",
+    [
+        pytest.param(entry, rank, probs, id=f"{entry.__name__}-{np.ndim(probs)}d")
+        for entry, rank in (
+            (crf_posterior, 1),
+            (brute_force_posterior, 1),
+            (crf_posterior_batch, 2),
+            (crf_argmax_batch, 2),
+        )
+        for probs in (0.5, np.full(2, 0.5), np.full((1, 2), 0.5), np.full((1, 1, 2), 0.5))
+        if np.ndim(probs) != rank
+    ],
+)
+def test_attribute_probs_of_the_wrong_rank_are_refused(entry, rank, probs):
+    # A scalar has no last axis to count attributes on: it must be refused
+    # by its rank, not fail on the shape.
+    with pytest.raises(ConfigurationError, match=_RANK_MESSAGES[rank]):
+        entry(np.full((2, 3), 0.5), probs, 3)
 
 
 def test_estimate_matrix_counts_fractions():

@@ -517,6 +517,18 @@ def test_default_noise_sweep_rejects_bad_target_pair(good, bad, monkeypatch):
         default_noise_sweep(good_accuracy_target=good, bad_accuracy_target=bad)
 
 
+@pytest.mark.parametrize("n_levels", [0, -1])
+def test_default_noise_sweep_rejects_no_levels_before_calibrating(n_levels, monkeypatch):
+    from coopattr import default_noise_sweep, harness
+
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibrated before checking the level count")
+
+    monkeypatch.setattr(harness, "calibrate_noise_std", no_calibration)
+    with pytest.raises(ConfigurationError, match="at least one noise level"):
+        default_noise_sweep(n_levels=n_levels)
+
+
 _LOOPING = [v for v in LearnerVariant if v is not LearnerVariant.MAX_ACCURACY_UPPER_BOUND]
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -316,6 +317,20 @@ def test_calibration_rejects_an_edge_below_one_half():
     assert calibrate_noise_std(lowest, rng_seed=1653) == _full_scan_calibrate_noise_std(
         lowest, rng_seed=1653
     )
+
+
+def test_calibration_memory_is_bounded_by_its_draws():
+    # Live at the peak: the 200,000 bits (one byte each) and standard-normal
+    # draws, and the two sorted halves of the draws: 3.24 MiB in all. One
+    # more buffer of 200,000 floats would break the bound.
+    tracemalloc.start()
+    try:
+        calibrate_noise_std(0.92)
+        calibrate_noise_std(0.575)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_calibration_hits_target_bands():
