@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .harness import LoopConfig, NoiseSweepConfig, default_noise_sweep
+from .harness import LoopConfig, NoiseSweepConfig, _check_sweep_size, default_noise_sweep
 from .linear import TrainConfig
 from .synthetic import (
     NoiseStudyConfig,
@@ -65,11 +65,8 @@ class ExperimentConfig:
         # checked here.
         loop_config(self)
         world_config(self, seed=0)
-        NoiseSweepConfig(
-            study=noise_study_config(self),
-            levels=(0.0,) * self.noise_levels,
-            n_seeds=self.noise_seeds,
-        )
+        noise_study_config(self)
+        _check_sweep_size(self.noise_levels, self.noise_seeds)
         check_accuracy_targets(self.good_accuracy_target, self.bad_accuracy_target)
 
 

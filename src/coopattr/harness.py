@@ -60,6 +60,7 @@ from .pool import (
     UNASSIGNED,
     UNLABELED,
     PoolState,
+    _check_int,
     _int_array,
     move_to_labeled,
     prune_from_labeled,
@@ -99,6 +100,8 @@ class LoopConfig:
     train: TrainConfig = TrainConfig()
 
     def __post_init__(self):
+        for name in ("transfers_per_category", "prunes_per_category", "prune_every"):
+            _check_int(getattr(self, name), name)
         if self.transfers_per_category < 1:
             raise ConfigurationError("transfers_per_category must be at least 1")
         if self.prunes_per_category < 1:
@@ -387,7 +390,7 @@ def _agent_metrics(run, aware: bool, n_categories: int, moved=(0, 0), accuracy=N
 
 
 class _Agent:
-    """One agent of a looping run and the three phases of its iteration,
+    """One agent of a looping run and the two phases of its iteration,
     which read nothing of the peer but its ``.catm`` bytes."""
 
     def __init__(self, index: int, world, variant: LearnerVariant, cfg: LoopConfig):
@@ -405,27 +408,24 @@ class _Agent:
             return encode_message(MatrixMessage(self.index, t, self.run.matrix, self.run.q))
         return None
 
-    def advance(self, t: int, received: bytes | None) -> None:
-        """Fuse the peer's message, if there is one, then transfer and prune."""
-        run = self.run
+    def advance(self, t: int, received: bytes | None):
+        """Fuse the peer's message, if there is one, then transfer and prune.
+        Returns this iteration's record and, for the ensemble, the posteriors
+        of this agent's side of the paired test set; the ensemble's record
+        then holds NaN for the accuracy that the two agents' average gives."""
+        run, n_categories = self.run, self.world.config.n_categories
         if received is not None:
             msg = decode_message(received)
             if self.weighted:
                 run.matrix = fuse_weighted((run.matrix, run.q), [(msg.matrix, msg.accuracy_vector)])
             else:
                 run.matrix = fuse_uniform(run.matrix, [msg.matrix])
-        self.moved = _advance_agent(run, t, self.cfg, self.aware, self.world.config.n_categories)
-
-    def metrics(self):
-        """This iteration's record and, for the ensemble, the posteriors of
-        this agent's side of the paired test set; the ensemble's record then
-        holds NaN for the accuracy that the two agents' average gives."""
-        run, n_categories = self.run, self.world.config.n_categories
+        moved = _advance_agent(run, t, self.cfg, self.aware, n_categories)
         if not self.ensemble:
-            return _agent_metrics(run, self.aware, n_categories, self.moved), None
+            return _agent_metrics(run, self.aware, n_categories, moved), None
         pairs = self.world.paired_test_ids[:, self.index]
         posteriors = run.category_bank.posterior_batch(_features_for(run.domain, pairs))
-        return _agent_metrics(run, self.aware, n_categories, self.moved, float("nan")), posteriors
+        return _agent_metrics(run, self.aware, n_categories, moved, float("nan")), posteriors
 
 
 def _ensemble_accuracy(world, p0, p1) -> float:
@@ -473,10 +473,7 @@ def run_experiment(
             sent = own.train(t)
             received = worker.result()
             worker.submit(_Agent.advance, t, sent)
-            own.advance(t, received)
-            worker.result()
-            worker.submit(_Agent.metrics)
-            (first, p0), (second, p1) = own.metrics(), worker.result()
+            (first, p0), (second, p1) = own.advance(t, received), worker.result()
             if own.ensemble:
                 accuracy = _ensemble_accuracy(world, p0, p1)
                 first, second = (replace(m, accuracy=accuracy) for m in (first, second))
@@ -506,12 +503,17 @@ class NoiseSweepConfig:
     n_seeds: int = 20
 
     def __post_init__(self):
-        if len(self.levels) < 1:
-            raise ConfigurationError("sweep needs at least one noise level")
+        _check_sweep_size(len(self.levels), self.n_seeds)
         for level in self.levels:
             check_noise_std(level)
-        if self.n_seeds < 1:
-            raise ConfigurationError("sweep needs at least one seed")
+
+
+def _check_sweep_size(n_levels, n_seeds) -> None:
+    """Refuse a sweep without a whole, positive number of levels and of seeds."""
+    for count, what in ((n_levels, "noise level"), (n_seeds, "seed")):
+        _check_int(count, f"a sweep's {what} count")
+        if count < 1:
+            raise ConfigurationError(f"sweep needs at least one {what}")
 
 
 @dataclass(frozen=True)
@@ -540,8 +542,7 @@ def default_noise_sweep(
     ``rng_seed``, which also seeds the calibration, and the calibrated
     ``bad_noise_std``; its other fields come from ``study``."""
     check_accuracy_targets(good_accuracy_target, bad_accuracy_target)
-    if n_levels < 1:
-        raise ConfigurationError("sweep needs at least one noise level")
+    _check_sweep_size(n_levels, n_seeds)
     sigma_good = calibrate_noise_std(good_accuracy_target, rng_seed=rng_seed)
     sigma_bad = calibrate_noise_std(bad_accuracy_target, rng_seed=rng_seed)
     base = replace(study or NoiseStudyConfig(), rng_seed=rng_seed, bad_noise_std=sigma_bad)

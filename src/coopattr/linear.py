@@ -14,7 +14,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, StateError, TrainingError
-from .pool import _int_array
+from .pool import _check_int, _int_array
 
 #: Probabilities are clamped into [PROB_CLAMP, 1 - PROB_CLAMP] so no factor in
 #: downstream products can reach exactly 0 or 1.
@@ -32,9 +32,9 @@ class TrainConfig:
     tol: ClassVar[float] = 1e-6
 
     def __post_init__(self):
-        values = (self.l2, self.learning_rate, self.max_iters)
-        if not all(math.isfinite(v) for v in values):
-            raise ConfigurationError("l2, learning_rate and max_iters must be finite")
+        _check_int(self.max_iters, "max_iters")
+        if not (math.isfinite(self.l2) and math.isfinite(self.learning_rate)):
+            raise ConfigurationError("l2 and learning_rate must be finite")
         if self.max_iters < 1:
             raise ConfigurationError("max_iters must be at least 1")
         if self.learning_rate <= 0:

@@ -167,6 +167,13 @@ def _int_array(values, what: str) -> np.ndarray:
     return array.astype(np.int64, copy=False)
 
 
+def _check_int(value, what: str) -> None:
+    """Refuse a setting that is not an integer (2.5, or 5.0) rather than let
+    the code that reads it round it or fail on it later."""
+    if not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+
+
 def _rows(ids: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The row of each wanted id in the ascending ``ids``, and whether it is there."""
     if ids.size == 0:

@@ -486,6 +486,14 @@ def test_noise_sweep_config_rejects_bad_level(level):
         NoiseSweepConfig(study=NoiseStudyConfig(), levels=(0.5, level), n_seeds=1)
 
 
+@pytest.mark.parametrize("n_seeds", [0, 2.5, 20.0])
+def test_noise_sweep_config_rejects_bad_seed_count(n_seeds):
+    from coopattr import NoiseStudyConfig, NoiseSweepConfig
+
+    with pytest.raises(ConfigurationError):
+        NoiseSweepConfig(study=NoiseStudyConfig(), levels=(0.5,), n_seeds=n_seeds)
+
+
 def test_default_noise_sweep_draws_data_at_its_calibration_seed():
     from coopattr import NoiseStudyConfig, default_noise_sweep
 
@@ -517,16 +525,32 @@ def test_default_noise_sweep_rejects_bad_target_pair(good, bad, monkeypatch):
         default_noise_sweep(good_accuracy_target=good, bad_accuracy_target=bad)
 
 
-@pytest.mark.parametrize("n_levels", [0, -1])
-def test_default_noise_sweep_rejects_no_levels_before_calibrating(n_levels, monkeypatch):
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("n_levels", 0, "at least one noise level"),
+        ("n_levels", -1, "at least one noise level"),
+        ("n_levels", 1.5, "noise level count must be an integer"),
+        ("n_seeds", 0, "at least one seed"),
+        ("n_seeds", 2.5, "seed count must be an integer"),
+    ],
+    ids=["0", "-1", "n_levels-1.5", "n_seeds-0", "n_seeds-2.5"],
+)
+def test_default_noise_sweep_rejects_no_levels_before_calibrating(
+    name, value, message, monkeypatch
+):
     from coopattr import default_noise_sweep, harness
 
     def no_calibration(*args, **kwargs):
-        raise AssertionError("calibrated before checking the level count")
+        raise AssertionError("calibrated before checking the level and seed counts")
 
     monkeypatch.setattr(harness, "calibrate_noise_std", no_calibration)
-    with pytest.raises(ConfigurationError, match="at least one noise level"):
-        default_noise_sweep(n_levels=n_levels)
+    with pytest.raises(ConfigurationError, match=message):
+        default_noise_sweep(**{name: value})
+    # The config key of the same count is refused when the config is built.
+    key = {"n_levels": "noise_levels", "n_seeds": "noise_seeds"}[name]
+    with pytest.raises(ConfigurationError, match=message):
+        ExperimentConfig(**{key: value})
 
 
 _LOOPING = [v for v in LearnerVariant if v is not LearnerVariant.MAX_ACCURACY_UPPER_BOUND]
@@ -672,6 +696,36 @@ def test_phase_error_is_raised_as_a_serial_loop_raises_it(
     assert str(forked.value) == str(serial.value) == f"{name} failed for agent {min(failing)}"
 
 
+@pytest.mark.parametrize(
+    "variant", [LearnerVariant.COOPERATIVE_WEIGHTED, LearnerVariant.ENSEMBLE_IND],
+    ids=lambda v: v.name,
+)
+def test_advance_error_of_agent_0_comes_first_on_both_paths(
+    variant, small_world, forks, monkeypatch
+):
+    # In iteration 1, agent 1 fails in its transfer and agent 0 later, in its
+    # metrics. Both belong to the one advance phase, so agent 0's error is
+    # raised, forked and serial alike.
+    first_peer_id = small_world.domains[1].ids[0]
+    for name, failing_agent in (("select_transfers", 1), ("compute_purity", 0)):
+
+        def failing_call(ids_or_pool, *args, _original=getattr(harness, name), _name=name,
+                         _agent=failing_agent):
+            ids = getattr(ids_or_pool, "ids", ids_or_pool)
+            agent = int(ids[0] >= first_peer_id)
+            if agent == _agent:
+                raise StateError(f"{_name} failed for agent {agent}")
+            return _original(ids_or_pool, *args)
+
+        monkeypatch.setattr(harness, name, failing_call)
+    with _second_thread(), pytest.raises(StateError) as serial:
+        run_experiment(variant, small_world, 3, _FAST)
+    with pytest.raises(StateError) as forked:
+        run_experiment(variant, small_world, 3, _FAST)
+    assert len(forks) == 1
+    assert str(forked.value) == str(serial.value) == "compute_purity failed for agent 0"
+
+
 class _ArrayCountingPickler(pickle.Pickler):
     """Counts the numpy arrays in what it pickles."""
 
@@ -683,10 +737,12 @@ class _ArrayCountingPickler(pickle.Pickler):
         return NotImplemented
 
 
-# The pickle framing of one iteration's three requests (an _Agent method and
-# the iteration) and three replies (agent 1's record, None or a .catm message),
-# not counting the messages and posteriors they carry; 343-459 B on small_world.
-_FRAMING_BYTES = 768
+# The pickle framing of one iteration's two requests (an _Agent method, the
+# iteration and, for advance, the message) and two replies (None or a .catm
+# message, then agent 1's record), not counting the messages and posteriors
+# they carry: 252-390 B on small_world, with the uniform message bounded by
+# the weighted one's size.
+_FRAMING_BYTES = 448
 
 
 @pytest.mark.parametrize("variant", _LOOPING, ids=lambda v: v.name)
@@ -712,7 +768,7 @@ def test_only_the_message_crosses_between_the_agents(
     sends = [[int(field) for field in line.split()] for line in log.read_text().splitlines()]
     requests = [(size, arrays) for here, size, arrays in sends if here]
     replies = [(size, arrays) for here, size, arrays in sends if not here]
-    assert len(requests) == len(replies) == 3 * iterations
+    assert len(requests) == len(replies) == 2 * iterations
     # Requests carry no array; only the ensemble's paired-test posteriors
     # come back as one, once per iteration.
     assert sum(arrays for _, arrays in requests) == 0
@@ -872,7 +928,16 @@ def test_import_starts_no_process():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("transfers_per_category", 0), ("prunes_per_category", 0), ("prune_every", -3)],
+    [
+        ("transfers_per_category", 0),
+        ("prunes_per_category", 0),
+        ("prune_every", -3),
+        # Not integers: they would prune on another schedule or fail in numpy.
+        ("transfers_per_category", 1.5),
+        ("prunes_per_category", 2.5),
+        ("prune_every", 2.5),
+        ("prune_every", 5.0),
+    ],
 )
 def test_loop_config_rejects_bad_value(field, value):
     with pytest.raises(ConfigurationError):

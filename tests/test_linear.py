@@ -362,6 +362,8 @@ def test_train_banks_rejects_missing_category():
     "field, value",
     [
         ("max_iters", 0),
+        ("max_iters", 2.5),
+        ("max_iters", 500.0),
         ("learning_rate", 0.0),
         ("learning_rate", -1.0),
         ("learning_rate", float("inf")),
