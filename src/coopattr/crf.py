@@ -19,18 +19,31 @@ category-major, one attribute at a time, on (N, b) slabs of at most
   see its docstring for why that keeps every bit of the result.
 - :func:`crf_argmax_batch` returns only each row's most probable category,
   which is all the noise study reads. It multiplies the messages into a
-  running product: no log, exp or normaliser. It must give exactly the
-  argmax of the posterior, so a guard decides which rows the product may
-  settle. With u = 2**-53, a message carries a relative error of about 2u.
-  The log kernel's scores then differ from the exact log-probabilities by at
-  most about (M + M**2) * 16u, and the product from the exact product by a
-  relative 2M u or so, while its partial products stay normal floats. A row
-  is decided by its product when the best one beats every other category's
-  by the relative margin 1e-12 * (M + 1)**2, more than 100 times both
-  bounds, and is at least 1e-290, so no partial product of the best is
-  subnormal (each message is below 1). Both kernels then see one strict
-  maximum at the same category. The other rows (exact or near ties,
-  underflow, M = 0) go to :func:`crf_posterior_batch`.
+  running float32 product: no log, exp or normaliser, and half the bytes
+  per pass of a float64 one. It must give exactly the argmax of the
+  posterior, so a guard decides which rows the product may settle.
+
+  The float64 log kernel's scores differ from the exact log-probabilities
+  by at most about (M + M**2) * 16 * 2**-53. For the product, u = 2**-24:
+  ``1 - p`` and ``1 - rate`` are taken in float64 and only then rounded to
+  float32, so each message is a sum of two non-negative rounded products
+  of rounded factors, with no cancellation and a relative error of at most
+  about 4u. The product of M messages is then within a relative 5M u of
+  the exact product, while its partial products stay normal floats, and
+  scaling it by the margin adds one more u. So a row whose best product
+  beats every other category's by a relative margin above
+  (10M + 1) u + (M + M**2) * 16 * 2**-53 has one strict maximum, at the
+  same category, in both kernels. The margin is 2**-14 * (M + 1): for M up
+  to 2**16 it is 102 to 186 times that bound, and at least 100 times its
+  compounded form (1 + u)**(10M + 1) - 1 plus the log term. Calls with more
+  attributes skip the product. The best product must also be at least
+  1e-36, above float32's smallest normal 1.18e-38, so no partial product of
+  the best is subnormal (each message is below 1), and a category whose
+  product is subnormal is far behind it. The other rows (exact or near
+  ties, float32 underflow, M = 0) go to :func:`crf_posterior_batch`. For
+  large M the float32 products underflow and every row goes there (with
+  rates and unaries uniform on (0, 1), most rows from M of about 120): the
+  result is still exact, only slower.
 """
 from __future__ import annotations
 
@@ -53,11 +66,13 @@ MAX_ENUMERATION_ATTRIBUTES = 20
 #: (2000 rows) or a loop over a default-sized pool stays one block.
 _BLOCK_ROWS = 4096
 
-#: The guard of :func:`crf_argmax_batch`: a row's best product must beat
-#: every other by the relative margin ``_ARGMAX_MARGIN * (M + 1)**2`` and be
-#: at least ``_ARGMAX_FLOOR``; the module docstring gives the error bounds.
-_ARGMAX_MARGIN = 1e-12
-_ARGMAX_FLOOR = 1e-290
+#: The guard of :func:`crf_argmax_batch`: a row's best float32 product must
+#: beat every other by the relative margin ``_ARGMAX_MARGIN * (M + 1)`` and
+#: be at least ``_ARGMAX_FLOOR``, and M at most ``_ARGMAX_MAX_ATTRIBUTES``;
+#: the module docstring gives the error bounds.
+_ARGMAX_MARGIN = 2.0**-14
+_ARGMAX_FLOOR = 1e-36
+_ARGMAX_MAX_ATTRIBUTES = 2**16
 
 
 def estimate_matrix_from_labels(
@@ -155,14 +170,17 @@ def crf_posterior_batch(
     return result
 
 
-def _messages(rates, off, probs):
+def _messages(rates, off, probs, dtype=np.float64):
     """Yield each attribute's two-state message to every category, in
-    ascending attribute order, as the same (N, b) buffer for the (b, M)
-    ``probs`` rows; a consumer may overwrite it before taking the next."""
+    ascending attribute order, as the same (N, b) ``dtype`` buffer for the
+    (b, M) ``probs`` rows; a consumer may overwrite it before taking the
+    next. ``1 - p`` is taken in float64 and rounded to ``dtype`` once, as
+    it is stored; for float64 the casts are no-ops."""
     p_t = np.ascontiguousarray(probs.T)
-    q_t = 1.0 - p_t
+    q_t = np.subtract(1.0, p_t, out=np.empty(p_t.shape, dtype))
+    p_t, rates, off = (a.astype(dtype, copy=False) for a in (p_t, rates, off))
     shape = (rates.shape[1], probs.shape[0])
-    term, other = np.empty(shape), np.empty(shape)
+    term, other = np.empty(shape, dtype), np.empty(shape, dtype)
     for j in range(rates.shape[0]):
         np.multiply(rates[j, :, None], p_t[j], out=term)
         np.multiply(off[j, :, None], q_t[j], out=other)
@@ -191,17 +209,21 @@ def crf_argmax_batch(
     """The most probable category of each attribute-probability row: equal,
     row by row, to ``np.argmax(crf_posterior_batch(...), axis=1)``.
 
-    Each block multiplies the messages into a running (N, b) product, with no
-    log, exp or normaliser. A row whose best product beats every other
-    category's by the relative margin ``_ARGMAX_MARGIN * (M + 1)**2``, and is
-    at least ``_ARGMAX_FLOOR``, is decided by its product; the others (ties,
-    near ties, underflow, no attributes) are scored by
-    :func:`crf_posterior_batch`, whose rows depend only on their own input
-    row, so they get exactly its argmax.
+    Each block multiplies the messages into a running (N, b) float32
+    product, with no log, exp or normaliser. A row whose best product beats
+    every other category's by the relative margin ``_ARGMAX_MARGIN * (M +
+    1)``, and is at least ``_ARGMAX_FLOOR``, is decided by its product; the
+    module docstring derives both from float32's error bound. The others
+    (ties, near ties, underflow, no attributes, or every row when M exceeds
+    ``_ARGMAX_MAX_ATTRIBUTES``) are scored by :func:`crf_posterior_batch`,
+    whose rows depend only on their own input row, so they get exactly its
+    argmax.
     """
     rates, probs = _conditioned(matrix, attr_probs, n_categories, 2)
+    if rates.shape[0] > _ARGMAX_MAX_ATTRIBUTES:
+        return np.argmax(crf_posterior_batch(matrix, probs, n_categories), axis=1)
     off = 1.0 - rates
-    margin = 1.0 + _ARGMAX_MARGIN * (rates.shape[0] + 1) ** 2
+    margin = 1.0 + _ARGMAX_MARGIN * (rates.shape[0] + 1)
     # Row 0 counts each row's categories within the margin of its best
     # product; row 1 sums their indices, which is the best one when it is
     # the only one. The sums are small integers, exact in any order.
@@ -210,8 +232,8 @@ def crf_argmax_batch(
     undecided = np.empty(probs.shape[0], dtype=bool)
     for start in range(0, probs.shape[0], _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        product = np.ones((n_categories, probs[block].shape[0]))
-        for term in _messages(rates, off, probs[block]):
+        product = np.ones((n_categories, probs[block].shape[0]), np.float32)
+        for term in _messages(rates, off, probs[block], np.float32):
             product *= term
         top = product.max(axis=0)
         product *= margin

@@ -17,7 +17,16 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError
-from .pool import DISTRACTOR, LABELED, TEST, UNASSIGNED, UNLABELED, PoolState, _frozen_array
+from .pool import (
+    DISTRACTOR,
+    LABELED,
+    TEST,
+    UNASSIGNED,
+    UNLABELED,
+    PoolState,
+    _check_int,
+    _frozen_array,
+)
 
 #: Noisy attribute predictions are clamped into (0, 1).
 PREDICTION_CLAMP = 1e-6
@@ -44,6 +53,10 @@ class SplitSizes:
     unlabeled: int = 30
     test: int = 20
 
+    def __post_init__(self):
+        for name in ("labeled", "unlabeled", "test"):
+            _check_int(getattr(self, name), f"{name} examples per category")
+
 
 @dataclass(frozen=True, eq=False)
 class SyntheticWorldConfig:
@@ -58,6 +71,10 @@ class SyntheticWorldConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_categories", "n_attributes", "n_distractors", "rng_seed"):
+            _check_int(getattr(self, name), name)
+        for dim in self.feature_dims:
+            _check_int(dim, "a feature dimension")
         matrix = np.asarray(self.ground_truth_matrix, dtype=float)
         if matrix.shape != (self.n_attributes, self.n_categories):
             raise ConfigurationError(
@@ -154,6 +171,8 @@ def contrast_ground_truth_matrix(
     that bound random profiles rarely separate, so if every draw fails the
     profiles are distinct even-weight codewords, picked with the same ``rng``.
     """
+    _check_int(n_attributes, "n_attributes")
+    _check_int(n_categories, "n_categories")
     if not low < high:
         raise ConfigurationError("the low presence rate must be below the high one")
     if n_categories > 2 ** (n_attributes - 1):
@@ -287,6 +306,8 @@ class NoiseStudyConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_categories", "n_attributes", "labeled_count", "test_count", "rng_seed"):
+            _check_int(getattr(self, name), name)
         check_noise_std(self.bad_noise_std)
         if self.n_categories < 2 or self.n_attributes < 2:
             raise ConfigurationError("a noise study needs two categories and two attributes")

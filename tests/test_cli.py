@@ -83,6 +83,15 @@ def test_load_experiment_config_rejects_invalid_setting(tmp_path, text):
         load_experiment_config(path)
 
 
+@pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig) if f.type == "int"])
+def test_experiment_config_rejects_non_integer_count(key):
+    # A config file's int keys are parsed with int(); a config built in code
+    # is checked when it is built, not when generation reads the value.
+    value = getattr(ExperimentConfig(), key) + 0.5
+    with pytest.raises(ConfigurationError, match="must be an integer"):
+        ExperimentConfig(**{key: value})
+
+
 def test_load_experiment_config_defaults_and_overrides(tmp_path):
     assert load_experiment_config(None) == ExperimentConfig()
     path = tmp_path / "cfg.txt"

@@ -17,6 +17,7 @@ from coopattr import (
 )
 from coopattr import crf
 from coopattr.crf import MATRIX_CLAMP, _conditioned, crf_argmax_batch, crf_posterior_batch
+from coopattr.synthetic import PREDICTION_CLAMP
 
 
 def _enumerated_scores(rates, probs, n_categories):
@@ -284,35 +285,78 @@ def _argmax_case(kind, seed, n_rows):
         if kind == "near_tie":
             j = rng.integers(n_attributes)
             rates[j, -1] = np.nextafter(rates[j, -1], rng.choice([0.0, 1.0]))
+    elif kind == "float32_tie":
+        # The last column differs from the first in float64 by less than
+        # half a float32 step, so both round to the same float32 rates.
+        rates[:, 0] = rates[:, 0].astype(np.float32)
+        rates[:, -1] = rates[:, 0] * (1 + rng.choice([-1, 1], n_attributes) * 2.0**-27)
+    elif kind == "float32_near_tie":
+        # The last column is within a few float32 steps of the first, so
+        # the two products are within float32's rounding error of each other.
+        rates[:, -1] = rates[:, 0] * (1 + rng.integers(-4, 5, n_attributes) * 2.0**-24)
     elif kind == "clamped":
         rates[rng.random(rates.shape) < 0.3] = 0.0
         rates[rng.random(rates.shape) < 0.3] = 1.0
         probs[rng.random(probs.shape) < 0.3] = 1e-6
         probs[rng.random(probs.shape) < 0.3] = 1 - 1e-6
-    elif kind == "underflow":
+    elif kind in ("underflow", "float32_underflow"):
         # Columns within 0.1% of each other. The first 60 attributes, which
-        # every category rates present, scale each row's products to between
-        # 1e-323 and 1e-312, where floats are subnormal and lose precision.
+        # every category rates present, scale each row's products down to
+        # where floats are subnormal and lose precision: by 1e-323 to 1e-312
+        # into float64's, or by 1e-40 to 1e-31 into float32's (best products
+        # 1e-47 to 1e-37, normal in float64).
         lead = 60
         rates = rng.uniform(0.3, 0.7, (lead + 20, 1))
         rates = rates * (1 + rng.normal(0, 1e-3, (lead + 20, n_categories)))
         rates[:lead] = 1.0
         probs = rng.uniform(0.3, 0.7, (n_rows, lead + 20))
-        scale = rng.uniform(np.log(1e-323), np.log(1e-312), n_rows)
+        low, high = (1e-323, 1e-312) if kind == "underflow" else (1e-40, 1e-31)
+        scale = rng.uniform(np.log(low), np.log(high), n_rows)
         probs[:, :lead] = np.exp(scale / lead)[:, None]
+    elif kind == "many_attributes":
+        # Every message is at most 0.9 * 0.1 + 0.1 * 0.9 = 0.18, so with 55
+        # or more attributes every float32 product is below 1e-36 and every
+        # row goes to the fallback.
+        n_attributes = int(rng.integers(55, 66))
+        rates = rng.uniform(0.9, 1, (n_attributes, n_categories))
+        probs = rng.uniform(0, 0.1, (n_rows, n_attributes)).clip(1e-6)
+    elif kind == "noise_study":
+        # As in the noise study: rates k/n from a few labeled examples per
+        # category, half the time averaged with a second agent's, and noisy
+        # 0/1 annotations clamped at PREDICTION_CLAMP.
+        truth = np.where(rng.random((n_attributes, n_categories)) < 0.5, 0.8, 0.2)
+        counts = rng.integers(1, 7, (2, n_categories))
+        rates = rng.binomial(counts[:, None, :], truth) / counts[:, None, :]
+        rates = rates.mean(axis=0) if rng.random() < 0.5 else rates[0]
+        bits = rng.random((n_rows, n_attributes)) < truth[:, rng.integers(0, n_categories, n_rows)].T
+        noisy = bits + rng.uniform(0, 3) * rng.standard_normal(bits.shape)
+        probs = noisy.clip(PREDICTION_CLAMP, 1 - PREDICTION_CLAMP)
     return rates, probs, n_categories
+
+
+_ARGMAX_KINDS = [
+    "random", "tie", "near_tie", "float32_tie", "float32_near_tie", "clamped", "no_attributes",
+    "underflow", "float32_underflow", "many_attributes", "noise_study",
+]
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    kind=st.sampled_from(["random", "tie", "near_tie", "clamped", "no_attributes", "underflow"]),
+    kind=st.sampled_from(_ARGMAX_KINDS),
     seed=st.integers(0, 2**32 - 1),
     n_rows=st.one_of(st.just(0), st.integers(1, 400)),
     block_rows=st.sampled_from([3, 64, crf._BLOCK_ROWS]),
 )
-# Pinned cases that fail without the margin and without the underflow floor.
+# Pinned cases. The first two failed without the margin and without the
+# underflow floor of a float64 product. The next two fail with the margin
+# shrunk to (M + 1) * 2**-24, and without the float32 floor; the last two
+# when 1 - p is taken after the unaries are rounded to float32.
 @example(kind="near_tie", seed=1, n_rows=300, block_rows=64)
 @example(kind="underflow", seed=1, n_rows=500, block_rows=64)
+@example(kind="float32_near_tie", seed=392, n_rows=400, block_rows=64)
+@example(kind="float32_underflow", seed=537, n_rows=400, block_rows=64)
+@example(kind="clamped", seed=425, n_rows=400, block_rows=64)
+@example(kind="noise_study", seed=405, n_rows=400, block_rows=64)
 def test_argmax_kernel_matches_posterior_argmax(kind, seed, n_rows, block_rows):
     rates, probs, n_categories = _argmax_case(kind, seed, n_rows)
     expected = np.argmax(crf_posterior_batch(rates, probs, n_categories), axis=1)
@@ -321,6 +365,25 @@ def test_argmax_kernel_matches_posterior_argmax(kind, seed, n_rows, block_rows):
         got = crf_argmax_batch(rates, probs, n_categories)
     assert got.dtype == np.intp
     assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("max_attributes", [crf._ARGMAX_MAX_ATTRIBUTES, 4])
+def test_argmax_kernel_sends_every_row_to_the_posterior(max_attributes, monkeypatch):
+    # Float32 underflow (every product below 1e-36), or more attributes than
+    # the guard's bound covers.
+    rates, probs, n_categories = _argmax_case("many_attributes", 0, 300)
+    fallback_rows = []
+
+    def posterior(matrix, attr_probs, n_categories):
+        fallback_rows.append(len(attr_probs))
+        return crf_posterior_batch(matrix, attr_probs, n_categories)
+
+    monkeypatch.setattr(crf, "_ARGMAX_MAX_ATTRIBUTES", max_attributes)
+    monkeypatch.setattr(crf, "crf_posterior_batch", posterior)
+    got = crf_argmax_batch(rates, probs, n_categories)
+    assert fallback_rows == [300]
+    assert got.dtype == np.intp
+    assert np.array_equal(got, np.argmax(crf_posterior_batch(rates, probs, n_categories), axis=1))
 
 
 def test_argmax_kernel_rejects_single_row():

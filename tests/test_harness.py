@@ -474,8 +474,11 @@ def test_noise_scores_match_posterior_argmax_reference(config_file, monkeypatch)
     monkeypatch.undo()
     assert scores == _posterior_argmax_scores(sweep, range(3))
     if config_file:
-        # Seed 0 at the benchmark's sizes has rows the product leaves undecided.
-        assert fallback_rows
+        # At the benchmark's sizes the product leaves some rows undecided,
+        # but only a few: fewer than 0.2% of the rows scored (3 seeds, each
+        # level, both agents, own and fused matrix).
+        scored = 3 * len(sweep.levels) * 2 * 2 * sweep.study.test_count
+        assert 0 < sum(fallback_rows) < 0.002 * scored
 
 
 @pytest.mark.parametrize("level", [float("nan"), float("inf"), -0.5])
