@@ -14,6 +14,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .harness import LoopConfig, NoiseSweepConfig, _check_sweep_size, default_noise_sweep
 from .linear import TrainConfig
+from .pool import _check_int
 from .synthetic import (
     NoiseStudyConfig,
     SplitSizes,
@@ -109,6 +110,7 @@ def load_experiment_config(path: str | Path | None) -> ExperimentConfig:
 
 def world_config(cfg: ExperimentConfig, seed: int) -> SyntheticWorldConfig:
     """World for one run; the ground-truth table is drawn from the seed."""
+    _check_int(seed, "seed")
     if seed < 0:
         raise ConfigurationError("seed must be non-negative")
     matrix = contrast_ground_truth_matrix(

@@ -35,15 +35,15 @@ category-major, one attribute at a time, on (N, b) slabs of at most
   (10M + 1) u + (M + M**2) * 16 * 2**-53 has one strict maximum, at the
   same category, in both kernels. The margin is 2**-14 * (M + 1): for M up
   to 2**16 it is 102 to 186 times that bound, and at least 100 times its
-  compounded form (1 + u)**(10M + 1) - 1 plus the log term. Calls with more
-  attributes skip the product. The best product must also be at least
-  1e-36, above float32's smallest normal 1.18e-38, so no partial product of
-  the best is subnormal (each message is below 1), and a category whose
-  product is subnormal is far behind it. The other rows (exact or near
-  ties, float32 underflow, M = 0) go to :func:`crf_posterior_batch`. For
-  large M the float32 products underflow and every row goes there (with
-  rates and unaries uniform on (0, 1), most rows from M of about 120): the
-  result is still exact, only slower.
+  compounded form (1 + u)**(10M + 1) - 1 plus the log term. The best
+  product must also be at least 1e-36, above float32's smallest normal
+  1.18e-38, so no partial product of the best is subnormal (each message
+  is below 1), and a category whose product is subnormal is far behind it.
+  The other rows (exact or near ties, float32 underflow, M = 0, and every
+  row when M is above the bound) go to the float64 posterior kernel, on the
+  rates the call has already conditioned. For large M the float32 products
+  underflow and every row goes there (with rates and unaries uniform on
+  (0, 1), most rows from M of about 120): the result is exact, only slower.
 """
 from __future__ import annotations
 
@@ -215,13 +215,11 @@ def crf_argmax_batch(
     1)``, and is at least ``_ARGMAX_FLOOR``, is decided by its product; the
     module docstring derives both from float32's error bound. The others
     (ties, near ties, underflow, no attributes, or every row when M exceeds
-    ``_ARGMAX_MAX_ATTRIBUTES``) are scored by :func:`crf_posterior_batch`,
-    whose rows depend only on their own input row, so they get exactly its
-    argmax.
+    ``_ARGMAX_MAX_ATTRIBUTES``) are scored in the same block by the
+    posterior kernel on the same conditioned rates; its rows depend only on
+    their own input rows, so each gets :func:`crf_posterior_batch`'s argmax.
     """
     rates, probs = _conditioned(matrix, attr_probs, n_categories, 2)
-    if rates.shape[0] > _ARGMAX_MAX_ATTRIBUTES:
-        return np.argmax(crf_posterior_batch(matrix, probs, n_categories), axis=1)
     off = 1.0 - rates
     margin = 1.0 + _ARGMAX_MARGIN * (rates.shape[0] + 1)
     # Row 0 counts each row's categories within the margin of its best
@@ -229,19 +227,21 @@ def crf_argmax_batch(
     # the only one. The sums are small integers, exact in any order.
     count_and_index = np.stack((np.ones(n_categories), np.arange(n_categories)))
     result = np.empty(probs.shape[0], dtype=np.intp)
-    undecided = np.empty(probs.shape[0], dtype=bool)
     for start in range(0, probs.shape[0], _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        product = np.ones((n_categories, probs[block].shape[0]), np.float32)
-        for term in _messages(rates, off, probs[block], np.float32):
-            product *= term
-        top = product.max(axis=0)
-        product *= margin
-        count, result[block] = count_and_index @ (product >= top)
-        undecided[block] = (count != 1) | (top < _ARGMAX_FLOOR)
-    rows = np.flatnonzero(undecided)
-    if rows.size:
-        result[rows] = np.argmax(crf_posterior_batch(matrix, probs[rows], n_categories), axis=1)
+        pending = np.arange(probs[block].shape[0])  # every row, unless the product decides
+        if rates.shape[0] <= _ARGMAX_MAX_ATTRIBUTES:
+            product = np.ones((n_categories, pending.size), np.float32)
+            for term in _messages(rates, off, probs[block], np.float32):
+                product *= term
+            top = product.max(axis=0)
+            product *= margin
+            count, result[block] = count_and_index @ (product >= top)
+            pending = np.flatnonzero((count != 1) | (top < _ARGMAX_FLOOR))
+        if pending.size:
+            scratch = np.empty((pending.size, n_categories))
+            _posterior_block(rates, off, probs[block][pending], scratch)
+            result[block][pending] = np.argmax(scratch, axis=1)
     return result
 
 
@@ -251,10 +251,10 @@ def crf_posterior(
     n_categories: int,
 ) -> CategoryPosterior:
     """Category posterior for one example via the factorized message product."""
-    probs = np.asarray(attr_probs, dtype=float)
-    if probs.ndim != 1:
-        raise ConfigurationError("attr_probs must be a 1-D vector")
-    return CategoryPosterior(crf_posterior_batch(matrix, probs[None, :], n_categories)[0])
+    rates, probs = _conditioned(matrix, attr_probs, n_categories, 1)
+    out = np.empty((1, n_categories))
+    _posterior_block(rates, 1.0 - rates, probs[None, :], out)
+    return CategoryPosterior(out[0])
 
 
 def brute_force_posterior(

@@ -456,6 +456,7 @@ def run_experiment(
     config: LoopConfig | None = None,
 ) -> list[IterationRecord]:
     """Run one learner variant on one world and return per-iteration metrics."""
+    _check_int(iterations, "iterations")
     if iterations < 1:
         raise ConfigurationError("iterations must be at least 1")
     cfg = config or LoopConfig()

@@ -430,6 +430,7 @@ def calibrate_noise_std(target_accuracy: float, rng_seed: int = 0) -> float:
     misses and absent hits are prefixes, which binary searches count exactly.
     """
     check_accuracy_target(target_accuracy)
+    _check_int(rng_seed, "rng_seed")
     if rng_seed < 0:
         raise ConfigurationError("rng_seed must be non-negative")
     n_samples = 200_000

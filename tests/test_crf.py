@@ -177,7 +177,8 @@ def test_batch_matches_single_example_path():
     matrix = AttributeCategoryMatrix(rates)
     batch = crf_posterior_batch(matrix, probs, 5)
     for row, unary in zip(batch, probs):
-        assert np.allclose(row, crf_posterior(matrix, unary, 5).probs, atol=1e-12)
+        # One block kernel serves both paths, so the bits are the same.
+        assert np.array_equal(row, crf_posterior(matrix, unary, 5).probs)
 
 
 def _broadcast_posterior_batch(matrix, attr_probs, n_categories):
@@ -367,23 +368,50 @@ def test_argmax_kernel_matches_posterior_argmax(kind, seed, n_rows, block_rows):
     assert np.array_equal(got, expected)
 
 
+def _record_calls(patch, name, calls):
+    """Patch ``crf.<name>`` to append the positional arguments of each call
+    to ``calls`` before running it."""
+    original = getattr(crf, name)
+
+    def record(*args):
+        calls.append(args)
+        return original(*args)
+
+    patch.setattr(crf, name, record)
+
+
 @pytest.mark.parametrize("max_attributes", [crf._ARGMAX_MAX_ATTRIBUTES, 4])
 def test_argmax_kernel_sends_every_row_to_the_posterior(max_attributes, monkeypatch):
     # Float32 underflow (every product below 1e-36), or more attributes than
-    # the guard's bound covers.
+    # the guard's bound covers. The call conditions its inputs once and
+    # scores the rows with the posterior block kernel on those rates.
     rates, probs, n_categories = _argmax_case("many_attributes", 0, 300)
-    fallback_rows = []
-
-    def posterior(matrix, attr_probs, n_categories):
-        fallback_rows.append(len(attr_probs))
-        return crf_posterior_batch(matrix, attr_probs, n_categories)
-
+    blocks, conditionings, batches = [], [], []
     monkeypatch.setattr(crf, "_ARGMAX_MAX_ATTRIBUTES", max_attributes)
-    monkeypatch.setattr(crf, "crf_posterior_batch", posterior)
+    _record_calls(monkeypatch, "_posterior_block", blocks)
+    _record_calls(monkeypatch, "_conditioned", conditionings)
+    _record_calls(monkeypatch, "crf_posterior_batch", batches)
     got = crf_argmax_batch(rates, probs, n_categories)
-    assert fallback_rows == [300]
+    monkeypatch.undo()
+    assert [len(args[2]) for args in blocks] == [300]
+    assert len(conditionings) == 1
+    assert batches == []
     assert got.dtype == np.intp
     assert np.array_equal(got, np.argmax(crf_posterior_batch(rates, probs, n_categories), axis=1))
+
+
+@pytest.mark.parametrize(
+    "entry, rank",
+    [(crf_posterior, 1), (brute_force_posterior, 1), (crf_posterior_batch, 2), (crf_argmax_batch, 2)],
+    ids=lambda value: getattr(value, "__name__", str(value)),
+)
+def test_public_calls_condition_their_inputs_once(entry, rank, monkeypatch):
+    # Uniform rates tie every category, so the argmax kernel leaves every
+    # row undecided.
+    conditionings = []
+    _record_calls(monkeypatch, "_conditioned", conditionings)
+    entry(np.full((3, 4), 0.5), np.full((5, 3)[-rank:], 0.4), 4)
+    assert len(conditionings) == 1
 
 
 def test_argmax_kernel_rejects_single_row():

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import json
 import os
 import pickle
 import signal
@@ -421,6 +422,7 @@ def test_noise_study_levels_match_single_level_sweeps():
 
 
 _POSTERIOR = crf.crf_posterior_batch
+_POSTERIOR_BLOCK = crf._posterior_block
 
 
 def _posterior_argmax_scores(sweep, seeds):
@@ -465,11 +467,11 @@ def test_noise_scores_match_posterior_argmax_reference(config_file, monkeypatch)
     sweep = noise_sweep_config(load_experiment_config(path))
     fallback_rows = []
 
-    def posterior(matrix, attr_probs, n_categories):
+    def posterior_block(rates, off, attr_probs, out):
         fallback_rows.append(len(attr_probs))
-        return _POSTERIOR(matrix, attr_probs, n_categories)
+        return _POSTERIOR_BLOCK(rates, off, attr_probs, out)
 
-    monkeypatch.setattr(crf, "crf_posterior_batch", posterior)
+    monkeypatch.setattr(crf, "_posterior_block", posterior_block)
     scores = harness._score_noise_seeds(sweep, range(3))
     monkeypatch.undo()
     assert scores == _posterior_argmax_scores(sweep, range(3))
@@ -947,6 +949,24 @@ def test_loop_config_rejects_bad_value(field, value):
         LoopConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda world: run_experiment(LearnerVariant.SSL_IND, world, 2.0, _FAST),
+        lambda world: run_experiment(LearnerVariant.MAX_ACCURACY_UPPER_BOUND, world, 2.0, _FAST),
+        lambda world: world_config(ExperimentConfig(), 1.5),
+        lambda world: harness.calibrate_noise_std(0.9, rng_seed=1.5),
+        lambda world: harness.default_noise_sweep(rng_seed=1.5),
+    ],
+    ids=["loop_iterations", "upper_bound_iterations", "world_seed", "calibration_seed", "sweep_seed"],
+)
+def test_non_integer_iterations_and_seeds_are_refused(call, small_world):
+    # 2.0 and 1.5 must be refused as settings, not fail later inside range()
+    # or numpy's seeding with a TypeError.
+    with pytest.raises(ConfigurationError, match="must be an integer"):
+        call(small_world)
+
+
 # SHA-256 of records_to_csv for 6 iterations of each variant on small_world
 # with _FAST, recorded before the fused category/attribute fit and the
 # branchless sigmoid landed; a change that moves them changes results.
@@ -1013,6 +1033,53 @@ def test_default_size_records_match_golden_digest(variant, default_world):
     loop = loop_config(ExperimentConfig())
     text = records_to_csv(run_experiment(variant, default_world, 3, loop))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DEFAULT_RECORDS[variant]
+
+
+# numpy's dispatch targets above its x86-64-v2 baseline, switched off, and
+# OpenBLAS's SSE3 kernels in place of those it would pick for this CPU.
+_BASELINE_KERNELS = {
+    "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+    "OPENBLAS_CORETYPE": "Prescott",
+}
+
+
+def test_records_do_not_depend_on_simd_or_blas_kernels():
+    # The golden digests were recorded on an AVX-512 host. A fresh
+    # interpreter held to baseline kernels (the variables are read once,
+    # when numpy loads) must give the same records. It prints which of the
+    # features are off, so a host where the variables change nothing shows
+    # in the log.
+    code = (
+        "import hashlib, json, os\n"
+        "from numpy._core._multiarray_umath import __cpu_features__ as features\n"
+        "names = os.environ['NPY_DISABLE_CPU_FEATURES'].split()\n"
+        "print('off:', [n for n in names if not features.get(n)])\n"
+        "print('on:', [n for n in names if features.get(n)])\n"
+        "import test_harness as t\n"
+        "def digest(variant, world, iterations, loop):\n"
+        "    text = t.records_to_csv(t.run_experiment(variant, world, iterations, loop))\n"
+        "    return hashlib.sha256(text.encode()).hexdigest()\n"
+        "small = t.generate_world(t._small_config())\n"
+        "digests = {v.name: digest(v, small, 6, t._FAST) for v in t.GOLDEN_RECORDS}\n"
+        "default = t.generate_world(t.world_config(t.ExperimentConfig(), 0))\n"
+        "loop = t.loop_config(t.ExperimentConfig())\n"
+        "v = t.LearnerVariant.COOPERATIVE_UNIFORM\n"
+        "digests['default ' + v.name] = digest(v, default, 3, loop)\n"
+        "print(json.dumps(digests))\n"
+    )
+    src = str(Path(harness.__file__).resolve().parents[1])
+    path = os.pathsep.join((src, str(Path(__file__).resolve().parent)))
+    threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = {**os.environ, **threads, **_BASELINE_KERNELS, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    print(done.stdout)
+    assert done.returncode == 0, done.stderr
+    expected = {variant.name: digest for variant, digest in GOLDEN_RECORDS.items()}
+    variant = LearnerVariant.COOPERATIVE_UNIFORM
+    expected["default " + variant.name] = GOLDEN_DEFAULT_RECORDS[variant]
+    assert json.loads(done.stdout.splitlines()[-1]) == expected
 
 
 # The CRF scores every pool here in one block of crf._BLOCK_ROWS rows. With
