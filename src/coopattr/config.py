@@ -110,9 +110,7 @@ def load_experiment_config(path: str | Path | None) -> ExperimentConfig:
 
 def world_config(cfg: ExperimentConfig, seed: int) -> SyntheticWorldConfig:
     """World for one run; the ground-truth table is drawn from the seed."""
-    _check_int(seed, "seed")
-    if seed < 0:
-        raise ConfigurationError("seed must be non-negative")
+    _check_int(seed, "seed", 0)
     matrix = contrast_ground_truth_matrix(
         cfg.n_attributes,
         cfg.n_categories,

@@ -52,7 +52,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, FeasibilityError
-from .pool import AttributeCategoryMatrix, CategoryPosterior, _int_array
+from .pool import AttributeCategoryMatrix, CategoryPosterior, _check_int, _int_array
 
 #: Matrix entries are exact fractions in storage; they are clamped into
 #: (0, 1) only at inference time so no message factor can be exactly zero.
@@ -86,8 +86,8 @@ def estimate_matrix_from_labels(
     Categories with zero labeled examples get an uninformative 0.5 column so
     inference stays defined if a category temporarily has no data.
     """
-    if n_categories <= 0 or n_attributes <= 0:
-        raise ConfigurationError("n_categories and n_attributes must be positive")
+    _check_int(n_categories, "n_categories", 1)
+    _check_int(n_attributes, "n_attributes", 1)
     categories = _int_array(categories, "category labels")
     attributes = np.asarray(attributes, dtype=float)
     if attributes.ndim != 2 or attributes.shape != (categories.shape[0], n_attributes):
@@ -97,11 +97,8 @@ def estimate_matrix_from_labels(
     if not np.isin(attributes, (0.0, 1.0)).all():
         raise ConfigurationError("attribute labels must be binary")
     counts = np.bincount(categories, minlength=n_categories).astype(float)
-    if categories.size:
-        onehot = (categories[:, None] == np.arange(n_categories)).astype(float)
-        sums = attributes.T @ onehot
-    else:
-        sums = np.zeros((n_attributes, n_categories))
+    onehot = (categories[:, None] == np.arange(n_categories)).astype(float)
+    sums = attributes.T @ onehot
     values = np.where(counts > 0, sums / np.maximum(counts, 1.0), 0.5)
     return AttributeCategoryMatrix(values)
 
@@ -114,6 +111,7 @@ _RANK_ERRORS = {
 
 
 def _conditioned(matrix, attr_probs, n_categories, ndim):
+    _check_int(n_categories, "n_categories", 1)
     probs = np.asarray(attr_probs, dtype=float)
     if probs.ndim != ndim:
         raise ConfigurationError(_RANK_ERRORS[ndim])

@@ -100,14 +100,9 @@ class LoopConfig:
     train: TrainConfig = TrainConfig()
 
     def __post_init__(self):
-        for name in ("transfers_per_category", "prunes_per_category", "prune_every"):
-            _check_int(getattr(self, name), name)
-        if self.transfers_per_category < 1:
-            raise ConfigurationError("transfers_per_category must be at least 1")
-        if self.prunes_per_category < 1:
-            raise ConfigurationError("prunes_per_category must be at least 1")
-        if self.prune_every < 0:
-            raise ConfigurationError("prune_every must be non-negative (0 turns pruning off)")
+        _check_int(self.transfers_per_category, "transfers_per_category", 1)
+        _check_int(self.prunes_per_category, "prunes_per_category", 1)
+        _check_int(self.prune_every, "prune_every (0 turns pruning off)", 0)
 
 
 @dataclass(frozen=True)
@@ -147,6 +142,7 @@ def compute_purity(pool: PoolState, true_category) -> float:
 
 def compute_class_average_accuracy(predictions, truths, n_categories: int) -> float:
     """Mean over categories of the per-category test accuracy."""
+    _check_int(n_categories, "n_categories", 1)
     predictions = _int_array(predictions, "predictions")
     truths = _int_array(truths, "truths")
     if predictions.shape != truths.shape:
@@ -456,9 +452,7 @@ def run_experiment(
     config: LoopConfig | None = None,
 ) -> list[IterationRecord]:
     """Run one learner variant on one world and return per-iteration metrics."""
-    _check_int(iterations, "iterations")
-    if iterations < 1:
-        raise ConfigurationError("iterations must be at least 1")
+    _check_int(iterations, "iterations", 1)
     cfg = config or LoopConfig()
     if variant is LearnerVariant.MAX_ACCURACY_UPPER_BOUND:
         return _run_upper_bound(world, iterations, cfg)
@@ -511,10 +505,8 @@ class NoiseSweepConfig:
 
 def _check_sweep_size(n_levels, n_seeds) -> None:
     """Refuse a sweep without a whole, positive number of levels and of seeds."""
-    for count, what in ((n_levels, "noise level"), (n_seeds, "seed")):
-        _check_int(count, f"a sweep's {what} count")
-        if count < 1:
-            raise ConfigurationError(f"sweep needs at least one {what}")
+    _check_int(n_levels, "a sweep's noise level count", 1)
+    _check_int(n_seeds, "a sweep's seed count", 1)
 
 
 @dataclass(frozen=True)

@@ -32,11 +32,9 @@ class TrainConfig:
     tol: ClassVar[float] = 1e-6
 
     def __post_init__(self):
-        _check_int(self.max_iters, "max_iters")
+        _check_int(self.max_iters, "max_iters", 1)
         if not (math.isfinite(self.l2) and math.isfinite(self.learning_rate)):
             raise ConfigurationError("l2 and learning_rate must be finite")
-        if self.max_iters < 1:
-            raise ConfigurationError("max_iters must be at least 1")
         if self.learning_rate <= 0:
             raise ConfigurationError("learning_rate must be positive")
         if self.l2 < 0:
@@ -167,8 +165,7 @@ class AttributeModelBank(_LinearBank):
 
 def _category_targets(features, categories, n_categories: int):
     """Checked features and one-hot one-vs-rest targets, one column per category."""
-    if n_categories < 2:
-        raise ConfigurationError("need at least two categories for one-vs-rest training")
+    _check_int(n_categories, "n_categories (one-vs-rest training)", 2)
     features = _feature_matrix(features, "features")
     categories = _int_array(categories, "category labels")
     if categories.shape != (features.shape[0],):

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DecodeError, ProtocolError
-from .pool import AttributeCategoryMatrix
+from .pool import AttributeCategoryMatrix, _check_int
 
 MAGIC = b"CATM"
 WIRE_VERSION = 1
@@ -46,10 +46,12 @@ class MatrixMessage:
     accuracy_vector: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 0 <= self.agent_id <= _MAX_AGENT_ID:
-            raise ConfigurationError(f"agent_id must be in [0, {_MAX_AGENT_ID}]")
-        if not 1 <= self.iteration <= _MAX_ITERATION:
-            raise ConfigurationError(f"iteration must be in [1, {_MAX_ITERATION}]")
+        _check_int(self.agent_id, "agent_id", 0)
+        _check_int(self.iteration, "iteration", 1)
+        if self.agent_id > _MAX_AGENT_ID or self.iteration > _MAX_ITERATION:
+            raise ConfigurationError(
+                f"agent_id must be at most {_MAX_AGENT_ID}, iteration at most {_MAX_ITERATION}"
+            )
         if self.accuracy_vector is not None:
             q = np.asarray(self.accuracy_vector, dtype=float).copy()
             if q.shape != (self.matrix.n_attributes,):

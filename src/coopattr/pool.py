@@ -167,11 +167,14 @@ def _int_array(values, what: str) -> np.ndarray:
     return array.astype(np.int64, copy=False)
 
 
-def _check_int(value, what: str) -> None:
-    """Refuse a setting that is not an integer (2.5, or 5.0) rather than let
-    the code that reads it round it or fail on it later."""
+def _check_int(value, what: str, minimum: int) -> None:
+    """The one rule for every count and seed: ``value`` must be an integer
+    (2.5 and 5.0 are refused, not rounded or failed on later) of at least
+    ``minimum``; otherwise ``ConfigurationError`` names ``what``."""
     if not isinstance(value, (int, np.integer)):
         raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigurationError(f"{what} must be at least {minimum}, got {value!r}")
 
 
 def _rows(ids: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

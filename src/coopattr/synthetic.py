@@ -55,7 +55,7 @@ class SplitSizes:
 
     def __post_init__(self):
         for name in ("labeled", "unlabeled", "test"):
-            _check_int(getattr(self, name), f"{name} examples per category")
+            _check_int(getattr(self, name), f"{name} examples per category", 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,10 +71,13 @@ class SyntheticWorldConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_categories", "n_attributes", "n_distractors", "rng_seed"):
-            _check_int(getattr(self, name), name)
+        for name, minimum in (("n_categories", 2), ("n_attributes", 1),
+                              ("n_distractors", 0), ("rng_seed", 0)):
+            _check_int(getattr(self, name), name, minimum)
+        if len(self.feature_dims) != 2 or len(self.feature_noise_stds) != 2:
+            raise ConfigurationError("feature_dims and feature_noise_stds need one entry per agent")
         for dim in self.feature_dims:
-            _check_int(dim, "a feature dimension")
+            _check_int(dim, "a feature dimension", 1)
         matrix = np.asarray(self.ground_truth_matrix, dtype=float)
         if matrix.shape != (self.n_attributes, self.n_categories):
             raise ConfigurationError(
@@ -85,21 +88,10 @@ class SyntheticWorldConfig:
         matrix = matrix.copy()
         matrix.setflags(write=False)
         object.__setattr__(self, "ground_truth_matrix", matrix)
-        sizes = self.examples_per_category
-        if self.n_categories < 2 or self.n_attributes < 1:
-            raise ConfigurationError("need at least 2 categories and 1 attribute")
-        if min(sizes.labeled, sizes.unlabeled, sizes.test) < 1:
-            raise ConfigurationError("every split needs at least one example per category")
-        if self.n_distractors < 0:
-            raise ConfigurationError("n_distractors must be non-negative")
         if not 0.0 <= self.attribute_flip_rate < 1.0:
             raise ConfigurationError("attribute_flip_rate must be in [0, 1)")
-        if min(self.feature_dims) < 1:
-            raise ConfigurationError("feature dimensions must be positive")
         if not all(math.isfinite(s) and s >= 0.0 for s in self.feature_noise_stds):
             raise ConfigurationError("feature noise must be finite and non-negative")
-        if self.rng_seed < 0:
-            raise ConfigurationError("rng_seed must be non-negative")
 
 
 #: One row of the lazily built ``AgentDomain.examples`` view.
@@ -171,8 +163,8 @@ def contrast_ground_truth_matrix(
     that bound random profiles rarely separate, so if every draw fails the
     profiles are distinct even-weight codewords, picked with the same ``rng``.
     """
-    _check_int(n_attributes, "n_attributes")
-    _check_int(n_categories, "n_categories")
+    _check_int(n_attributes, "n_attributes", 1)
+    _check_int(n_categories, "n_categories", 1)
     if not low < high:
         raise ConfigurationError("the low presence rate must be below the high one")
     if n_categories > 2 ** (n_attributes - 1):
@@ -306,15 +298,12 @@ class NoiseStudyConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_categories", "n_attributes", "labeled_count", "test_count", "rng_seed"):
-            _check_int(getattr(self, name), name)
+        for name, minimum in (("n_categories", 2), ("n_attributes", 2), ("rng_seed", 0)):
+            _check_int(getattr(self, name), name, minimum)
+        # At least one labeled and one test example per category.
+        for name in ("labeled_count", "test_count"):
+            _check_int(getattr(self, name), name, self.n_categories)
         check_noise_std(self.bad_noise_std)
-        if self.n_categories < 2 or self.n_attributes < 2:
-            raise ConfigurationError("a noise study needs two categories and two attributes")
-        if self.labeled_count < self.n_categories or self.test_count < self.n_categories:
-            raise ConfigurationError("need at least one labeled and test example per category")
-        if self.rng_seed < 0:
-            raise ConfigurationError("rng_seed must be non-negative")
 
 
 def check_noise_std(value: float) -> None:
@@ -430,9 +419,7 @@ def calibrate_noise_std(target_accuracy: float, rng_seed: int = 0) -> float:
     misses and absent hits are prefixes, which binary searches count exactly.
     """
     check_accuracy_target(target_accuracy)
-    _check_int(rng_seed, "rng_seed")
-    if rng_seed < 0:
-        raise ConfigurationError("rng_seed must be non-negative")
+    _check_int(rng_seed, "rng_seed", 0)
     n_samples = 200_000
     rng = np.random.default_rng([rng_seed, _STREAM_CALIBRATION])
     bits = rng.random(n_samples) < 0.5

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .pool import AttributeCategoryMatrix, _int_array
+from .pool import AttributeCategoryMatrix, _check_int, _int_array
 
 
 def entropy(posterior):
@@ -72,8 +72,7 @@ def select_transfers(ids, posteriors, per_category_count: int) -> np.ndarray:
     lowest-entropy ids win (fewer if the group is smaller). Returns one
     int64 (example_id, predicted_category) row per pick, by ascending category.
     """
-    if per_category_count < 1:
-        raise ConfigurationError("per_category_count must be at least 1")
+    _check_int(per_category_count, "per_category_count", 1)
     ids, probs = _rows(ids, posteriors)
     categories = np.argmax(probs, axis=1)
     keep = _first_per_category(ids, categories, entropy(probs), per_category_count)
@@ -101,8 +100,7 @@ def select_prunes(ids, categories, posteriors, per_category_count: int) -> np.nd
     ``per_category_count`` highest-entropy ids are returned, by ascending
     category, as an int64 array.
     """
-    if per_category_count < 1:
-        raise ConfigurationError("per_category_count must be at least 1")
+    _check_int(per_category_count, "per_category_count", 1)
     ids, probs = _rows(ids, posteriors)
     categories = _int_array(categories, "categories")
     if categories.shape != ids.shape:

@@ -92,6 +92,23 @@ def test_experiment_config_rejects_non_integer_count(key):
         ExperimentConfig(**{key: value})
 
 
+#: The least value of each int key; the noise-study splits need one example
+#: per category, and the noise study needs two attributes.
+_MINIMUMS = dict(
+    n_categories=2, n_attributes=2, seeds_per_category=1, unlabeled_per_category=1,
+    test_per_category=1, n_distractors=0, feature_dim_a=1, feature_dim_b=1,
+    transfers_per_category=1, prunes_per_category=1, prune_every=0, max_iters=1,
+    noise_levels=1, noise_labeled_count=ExperimentConfig.n_categories,
+    noise_test_count=ExperimentConfig.n_categories, noise_seeds=1, noise_rng_seed=0,
+)
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig) if f.type == "int"])
+def test_experiment_config_rejects_count_below_minimum(key):
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig(**{key: _MINIMUMS[key] - 1})
+
+
 def test_load_experiment_config_defaults_and_overrides(tmp_path):
     assert load_experiment_config(None) == ExperimentConfig()
     path = tmp_path / "cfg.txt"

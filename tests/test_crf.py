@@ -461,6 +461,13 @@ def test_estimate_matrix_zero_count_category_gets_half_column():
     assert np.allclose(matrix.values[:, 2], 0.5)
 
 
+def test_estimate_matrix_from_empty_labeled_set_is_all_half():
+    matrix = estimate_matrix_from_labels(
+        np.zeros(0, int), np.zeros((0, 3)), n_categories=4, n_attributes=3
+    )
+    assert np.array_equal(matrix.values, np.full((3, 4), 0.5))
+
+
 def test_estimate_matrix_saturated_entry_kept_exact_then_clamped_at_inference():
     matrix = estimate_matrix_from_labels(
         np.zeros(4, int), np.ones((4, 1)), n_categories=2, n_attributes=1

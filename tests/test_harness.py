@@ -533,10 +533,10 @@ def test_default_noise_sweep_rejects_bad_target_pair(good, bad, monkeypatch):
 @pytest.mark.parametrize(
     "name, value, message",
     [
-        ("n_levels", 0, "at least one noise level"),
-        ("n_levels", -1, "at least one noise level"),
+        ("n_levels", 0, "noise level count must be at least 1"),
+        ("n_levels", -1, "noise level count must be at least 1"),
         ("n_levels", 1.5, "noise level count must be an integer"),
-        ("n_seeds", 0, "at least one seed"),
+        ("n_seeds", 0, "seed count must be at least 1"),
         ("n_seeds", 2.5, "seed count must be an integer"),
     ],
     ids=["0", "-1", "n_levels-1.5", "n_seeds-0", "n_seeds-2.5"],

@@ -425,6 +425,15 @@ def test_world_config_validation():
         _world_config(n_distractors=-1)
 
 
+@pytest.mark.parametrize("field", ["feature_dims", "feature_noise_stds"])
+@pytest.mark.parametrize("value", [(5,), (5, 6, 7)], ids=["one", "three"])
+def test_world_config_needs_one_feature_setting_per_agent(field, value):
+    # One entry would fail with an IndexError in generate_world, and a third
+    # would be ignored.
+    with pytest.raises(ConfigurationError, match="one entry per agent"):
+        _world_config(**{field: value})
+
+
 def test_agent_domain_arrays_follow_sorted_ids():
     pool = _pool([2, 5, 7], [LABELED, TEST, UNLABELED])
     domain = AgentDomain(
