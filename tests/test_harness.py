@@ -1035,18 +1035,29 @@ def test_default_size_records_match_golden_digest(variant, default_world):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DEFAULT_RECORDS[variant]
 
 
-# numpy's dispatch targets above its x86-64-v2 baseline, switched off, and
-# OpenBLAS's SSE3 kernels in place of those it would pick for this CPU.
-_BASELINE_KERNELS = {
-    "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
-    "OPENBLAS_CORETYPE": "Prescott",
+# Kernel sets below the AVX-512 ones the golden digests were recorded with.
+# "baseline": numpy's dispatch targets above its x86-64-v2 baseline switched
+# off, and OpenBLAS's SSE3 kernels in place of those it would pick for this
+# CPU. "avx2": numpy's AVX-512 targets off, so its x86-64-v3 (AVX2) loops run,
+# among them the float32 exp of the gradient descent, with OpenBLAS's AVX2
+# kernels.
+_KERNEL_SETS = {
+    "baseline": {
+        "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+        "OPENBLAS_CORETYPE": "Prescott",
+    },
+    "avx2": {
+        "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+        "OPENBLAS_CORETYPE": "Haswell",
+    },
 }
 
 
-def test_records_do_not_depend_on_simd_or_blas_kernels():
+@pytest.mark.parametrize("kernels", list(_KERNEL_SETS))
+def test_records_do_not_depend_on_simd_or_blas_kernels(kernels):
     # The golden digests were recorded on an AVX-512 host. A fresh
-    # interpreter held to baseline kernels (the variables are read once,
-    # when numpy loads) must give the same records. It prints which of the
+    # interpreter held to other kernels (the variables are read once, when
+    # numpy loads) must give the same records. It prints which of the
     # features are off, so a host where the variables change nothing shows
     # in the log.
     code = (
@@ -1070,7 +1081,7 @@ def test_records_do_not_depend_on_simd_or_blas_kernels():
     src = str(Path(harness.__file__).resolve().parents[1])
     path = os.pathsep.join((src, str(Path(__file__).resolve().parent)))
     threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-    env = {**os.environ, **threads, **_BASELINE_KERNELS, "PYTHONPATH": path}
+    env = {**os.environ, **threads, **_KERNEL_SETS[kernels], "PYTHONPATH": path}
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
     )

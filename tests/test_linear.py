@@ -20,6 +20,7 @@ from coopattr.linear import (
     PROB_CLAMP,
     AttributeModelBank,
     CategoryModelBank,
+    _fit,
     _sigmoid,
     attribute_accuracy_arrays,
     train_banks,
@@ -387,3 +388,65 @@ def test_divergent_step_raises_training_error():
         train_banks(*data, TrainConfig(learning_rate=learning_rate, max_iters=int(250 / learning_rate)))
     with pytest.raises(TrainingError, match=r"learning_rate 50\.0: 5 of 20 .* column 9 at 2\.91"):
         train_banks(*data, TrainConfig(learning_rate=50.0, max_iters=5))
+
+
+@pytest.mark.parametrize("learning_rate", [1e20, 1e100])
+def test_non_finite_final_loss_raises_training_error(learning_rate):
+    # The seeds of test_divergent_step_raises_training_error. At these steps
+    # the descent overflows and the weights end NaN; a NaN loss compares
+    # False with log 2, so it must count as diverged too. numpy's overflow
+    # warnings are silenced so that the test sees the error, not a warning.
+    domain = generate_world(world_config(ExperimentConfig(), 0)).domains[0]
+    labeled = domain.pool.split == LABELED
+    data = (domain.features[labeled], domain.pool.category[labeled], domain.pool.bits[labeled], 10)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingError, match="20 of 20 fitted columns"):
+            train_banks(*data, TrainConfig(learning_rate=learning_rate, max_iters=5))
+
+
+def _reference_fit(features, targets, config):
+    # The earlier float64 descent, kept verbatim as the reference.
+    n, dim = features.shape
+    k = targets.shape[1]
+    weights = np.zeros((dim, k))
+    bias = np.zeros(k)
+    for _ in range(config.max_iters):
+        z = features @ weights
+        z += bias
+        residual = _sigmoid(z)
+        residual -= targets
+        residual /= n
+        grad_w = features.T @ residual
+        grad_w += config.l2 * weights
+        grad_b = residual.sum(axis=0)
+        weights -= config.learning_rate * grad_w
+        bias -= config.learning_rate * grad_b
+    return weights, bias
+
+
+@pytest.mark.parametrize("dim", [12, 16])
+@pytest.mark.parametrize("n", [50, 100, 300, 450, 1000, 2000])
+def test_float32_descent_stays_near_float64_reference(n, dim):
+    # Trend-sized fits: 20 columns of noisy linear targets, default config,
+    # final |w| up to ~5. Each float32 step rounds w by about 2**-24 |w|;
+    # descent at this step size does not amplify the errors, which add up
+    # like a random walk over the 500 steps: sqrt(500) * 2**-24 ~ 1.3e-6
+    # at |w| ~ 1. The largest difference measured here is 1.6e-6, and 2.9e-6
+    # over other seeds of the same shapes.
+    rng = np.random.default_rng(1000 * dim + n)
+    features = rng.normal(size=(n, dim))
+    targets = (features @ rng.normal(size=(dim, 20)) + rng.normal(size=(n, 20)) > 0).astype(float)
+    weights, bias = _fit(features, targets, TrainConfig())
+    want_weights, want_bias = _reference_fit(features, targets, TrainConfig())
+    assert weights.dtype == bias.dtype == np.float64
+    assert np.abs(weights - want_weights).max() <= 1e-5
+    assert np.abs(bias - want_bias).max() <= 1e-5
+
+
+def test_both_banks_hold_float64_arrays():
+    rng = np.random.default_rng(14)
+    features = rng.normal(size=(40, 5))
+    attributes = (rng.random((40, 3)) < 0.5).astype(np.int8)
+    for bank in train_banks(features, np.arange(40) % 4, attributes, 4):
+        for array in (bank.weights, bank.bias):
+            assert array.dtype == np.float64 and array.flags.c_contiguous
