@@ -26,7 +26,7 @@ Variants:
 * ``MULTIVIEW_IND``: adds the attribute view; scoring uses the mean of both
   views; no communication.
 * ``ENSEMBLE_IND``: two SSL_IND learners whose test predictions average the
-  two agents' feature-view posteriors over paired test examples.
+  two agents' feature-view posteriors, row by row of the test splits.
 * ``COOPERATIVE_UNIFORM``: multi-view plus entrywise mean fusion of the two
   agents' matrices each iteration.
 * ``COOPERATIVE_WEIGHTED``: multi-view plus per-attribute row overwrite by
@@ -169,10 +169,6 @@ class _AgentRun:
         self.attribute_bank = None
         self.matrix = None
         self.q = None
-
-
-def _features_for(domain, ids):
-    return domain.features[np.searchsorted(domain.ids, ids)]
 
 
 def _fit_agent(run, world, features, categories, attributes, config: TrainConfig, weighted: bool):
@@ -364,25 +360,24 @@ def _advance_agent(run, t: int, cfg: LoopConfig, aware: bool, n_categories: int)
     return transfers, prunes
 
 
-def _agent_metrics(run, aware: bool, n_categories: int, moved=(0, 0), accuracy=None):
-    """One agent's record, given its ``moved`` (transfers, prunes) counts. Its
-    own posteriors score the test set unless ``accuracy`` (the ensemble's) is
-    given; attribute accuracy is None then, and for attribute-blind agents."""
+def _agent_metrics(run, aware: bool, n_categories: int, moved=(0, 0)):
+    """One agent's record, given its ``moved`` (transfers, prunes) counts, and
+    the posteriors over its test split that score the record's accuracy.
+    Attribute accuracy is None for attribute-blind agents."""
     domain = run.domain
+    test = run.pool.split == TEST
+    features = domain.features[test]
+    posteriors = _agent_posterior(run, features, aware, n_categories)
+    accuracy = compute_class_average_accuracy(
+        np.argmax(posteriors, axis=1), domain.true_category[test], n_categories
+    )
     attribute_accuracy = None
-    if accuracy is None:
-        test = run.pool.split == TEST
-        features = domain.features[test]
-        posteriors = _agent_posterior(run, features, aware, n_categories)
-        accuracy = compute_class_average_accuracy(
-            np.argmax(posteriors, axis=1), domain.true_category[test], n_categories
-        )
-        if aware:
-            rates = attribute_accuracy_arrays(run.attribute_bank, features, domain.true_bits[test])
-            attribute_accuracy = tuple(rates.tolist())
+    if aware:
+        rates = attribute_accuracy_arrays(run.attribute_bank, features, domain.true_bits[test])
+        attribute_accuracy = tuple(rates.tolist())
     transfers, prunes = moved
     purity = compute_purity(run.pool, domain.true_category)
-    return AgentMetrics(accuracy, purity, attribute_accuracy, transfers, prunes)
+    return AgentMetrics(accuracy, purity, attribute_accuracy, transfers, prunes), posteriors
 
 
 class _Agent:
@@ -407,8 +402,8 @@ class _Agent:
     def advance(self, t: int, received: bytes | None):
         """Fuse the peer's message, if there is one, then transfer and prune.
         Returns this iteration's record and, for the ensemble, the posteriors
-        of this agent's side of the paired test set; the ensemble's record
-        then holds NaN for the accuracy that the two agents' average gives."""
+        over this agent's test split, whose average with the peer's gives the
+        ensemble's accuracy."""
         run, n_categories = self.run, self.world.config.n_categories
         if received is not None:
             msg = decode_message(received)
@@ -417,16 +412,13 @@ class _Agent:
             else:
                 run.matrix = fuse_uniform(run.matrix, [msg.matrix])
         moved = _advance_agent(run, t, self.cfg, self.aware, n_categories)
-        if not self.ensemble:
-            return _agent_metrics(run, self.aware, n_categories, moved), None
-        pairs = self.world.paired_test_ids[:, self.index]
-        posteriors = run.category_bank.posterior_batch(_features_for(run.domain, pairs))
-        return _agent_metrics(run, self.aware, n_categories, moved, float("nan")), posteriors
+        metrics, posteriors = _agent_metrics(run, self.aware, n_categories, moved)
+        return metrics, posteriors if self.ensemble else None
 
 
 def _ensemble_accuracy(world, p0, p1) -> float:
-    pairs, first = world.paired_test_ids, world.domains[0]
-    truths = first.true_category[np.searchsorted(first.ids, pairs[:, 0])]
+    first = world.domains[0]
+    truths = first.true_category[first.pool.split == TEST]
     return compute_class_average_accuracy(
         np.argmax((p0 + p1) / 2, axis=1), truths, world.config.n_categories
     )
@@ -440,7 +432,7 @@ def _run_upper_bound(world, iterations: int, cfg: LoopConfig) -> list[IterationR
         categories, attributes = domain.true_category[rows], domain.true_bits[rows]
         run = _AgentRun(domain)
         _fit_agent(run, world, domain.features[rows], categories, attributes, cfg.train, False)
-        metrics.append(_agent_metrics(run, True, n_cat))
+        metrics.append(_agent_metrics(run, True, n_cat)[0])
     frozen = tuple(metrics)
     return [IterationRecord(iteration=t, agents=frozen) for t in range(1, iterations + 1)]
 
@@ -498,6 +490,7 @@ class NoiseSweepConfig:
     n_seeds: int = 20
 
     def __post_init__(self):
+        object.__setattr__(self, "levels", tuple(self.levels))  # not the caller's list
         _check_sweep_size(len(self.levels), self.n_seeds)
         for level in self.levels:
             check_noise_std(level)

@@ -74,6 +74,9 @@ class SyntheticWorldConfig:
         for name, minimum in (("n_categories", 2), ("n_attributes", 1),
                               ("n_distractors", 0), ("rng_seed", 0)):
             _check_int(getattr(self, name), name, minimum)
+        # Tuples, so that a caller's list changed later cannot change the config.
+        for name in ("feature_dims", "feature_noise_stds"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if len(self.feature_dims) != 2 or len(self.feature_noise_stds) != 2:
             raise ConfigurationError("feature_dims and feature_noise_stds need one entry per agent")
         for dim in self.feature_dims:
@@ -139,16 +142,23 @@ class AgentDomain:
 
 @dataclass(frozen=True, eq=False)
 class SyntheticWorld:
+    """Both agents' domains of one world.
+
+    Row ``i`` of one domain's test split and row ``i`` of the other's are one
+    object seen by both agents' sensors, so their true categories agree. Only
+    the cross-agent ensemble baseline relies on this pairing.
+    """
+
     config: SyntheticWorldConfig
     domains: tuple[AgentDomain, AgentDomain]
-    #: Test examples generated from the same attribute draw in both domains:
-    #: a read-only ``(n_test, 2)`` int64 array of (agent-0 id, agent-1 id)
-    #: rows. Only the cross-agent ensemble baseline relies on this pairing.
-    paired_test_ids: np.ndarray
 
     def __post_init__(self):
-        pairs = _frozen_array(self.paired_test_ids, np.int64)
-        object.__setattr__(self, "paired_test_ids", pairs)
+        first, second = (d.true_category[d.pool.split == TEST] for d in self.domains)
+        if not np.array_equal(first, second):
+            raise ConfigurationError(
+                "the two domains' test splits must pair row by row: "
+                "the same length and the same true category in each row"
+            )
 
 
 def contrast_ground_truth_matrix(
@@ -165,8 +175,10 @@ def contrast_ground_truth_matrix(
     """
     _check_int(n_attributes, "n_attributes", 1)
     _check_int(n_categories, "n_categories", 1)
-    if not low < high:
-        raise ConfigurationError("the low presence rate must be below the high one")
+    if not 0.0 <= low < high <= 1.0:
+        raise ConfigurationError(
+            f"presence rates need 0 <= low < high <= 1, got low {low!r} and high {high!r}"
+        )
     if n_categories > 2 ** (n_attributes - 1):
         raise ConfigurationError(
             f"more categories than 2**(n_attributes - 1) = {2 ** (n_attributes - 1)}, "
@@ -185,11 +197,6 @@ def contrast_ground_truth_matrix(
     return np.where(pattern, high, low)
 
 
-def _flip_bits(bits: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
-    flips = rng.random(bits.shape) < rate
-    return np.logical_xor(bits, flips).astype(np.int8)
-
-
 def generate_world(config: SyntheticWorldConfig) -> SyntheticWorld:
     """Sample both agents' domains deterministically from the config seed.
 
@@ -197,91 +204,79 @@ def generate_world(config: SyntheticWorldConfig) -> SyntheticWorld:
     the ground-truth rates, then corrupted at the flip rate. Features are the
     agent's embedding of the centered bits plus Gaussian noise. Distractors
     draw attributes uniformly at random and carry the DISTRACTOR sentinel.
-    Test examples reuse one attribute draw in both domains so they are paired.
+    An agent's rows are its labeled, unlabeled, distractor and test examples,
+    categories in order within each split. Row ``i`` of both test splits is
+    one attribute draw, which pairs the two agents' test examples.
     """
     cfg = config
     n_cat, n_attr = cfg.n_categories, cfg.n_attributes
     sizes = cfg.examples_per_category
     seed = cfg.rng_seed
     truth = cfg.ground_truth_matrix
+    n_labeled, n_test = n_cat * sizes.labeled, n_cat * sizes.test
+    n_seen = n_labeled + n_cat * sizes.unlabeled
+    distractor_counts = ((cfg.n_distractors + 1) // 2, cfg.n_distractors // 2)
 
-    embeddings = []
-    for agent in (0, 1):
-        rng = np.random.default_rng([seed, _STREAM_EMBEDDING, agent])
-        embeddings.append(
-            rng.standard_normal((cfg.feature_dims[agent], n_attr)) / math.sqrt(n_attr)
-        )
-
+    bits = [np.empty((n_seen + n + n_test, n_attr), dtype=np.int8) for n in distractor_counts]
+    # Each split's rows as (category, example, attribute) views of both agents' bits.
+    labeled, unlabeled, test = (
+        [rows[part].reshape(n_cat, -1, n_attr) for rows in bits]
+        for part in (slice(0, n_labeled), slice(n_labeled, n_seen), slice(-n_test, None))
+    )
     # Per-category attribute draws, fixed block order: labeled for agent 0 and
-    # 1, unlabeled for agent 0 and 1, then the shared test block.
-    block_counts = (sizes.labeled, sizes.labeled, sizes.unlabeled, sizes.unlabeled, sizes.test)
-    labeled_bits = ([], [])
-    unlabeled_bits = ([], [])
-    test_bits = []
+    # 1, unlabeled for agent 0 and 1, then the test block both agents share.
+    block_targets = (labeled[:1], labeled[1:], unlabeled[:1], unlabeled[1:], test)
     for category in range(n_cat):
         rng = np.random.default_rng([seed, _STREAM_CATEGORY_BITS, category])
         flip_rng = np.random.default_rng([seed, _STREAM_FLIPS, category])
-        blocks = []
-        for count in block_counts:
-            bits = (rng.random((count, n_attr)) < truth[:, category]).astype(np.int8)
-            blocks.append(_flip_bits(bits, cfg.attribute_flip_rate, flip_rng))
-        labeled_bits[0].append(blocks[0])
-        labeled_bits[1].append(blocks[1])
-        unlabeled_bits[0].append(blocks[2])
-        unlabeled_bits[1].append(blocks[3])
-        test_bits.append(blocks[4])
-
-    distractor_counts = ((cfg.n_distractors + 1) // 2, cfg.n_distractors // 2)
-    distractor_bits = []
-    for agent in (0, 1):
-        rng = np.random.default_rng([seed, _STREAM_DISTRACTORS, agent])
-        distractor_bits.append(
-            (rng.random((distractor_counts[agent], n_attr)) < 0.5).astype(np.int8)
-        )
+        for targets in block_targets:
+            shape = targets[0].shape[1:]
+            drawn = rng.random(shape) < truth[:, category]
+            drawn ^= flip_rng.random(shape) < cfg.attribute_flip_rate
+            for blocks in targets:
+                blocks[category] = drawn
 
     domains = []
-    test_ids = []
     next_id = 0
     categories = np.arange(n_cat)
     for agent in (0, 1):
-        bits = np.concatenate(
-            labeled_bits[agent] + unlabeled_bits[agent] + [distractor_bits[agent]] + test_bits
-        )
+        rows, n_distractors = bits[agent], distractor_counts[agent]
+        rng = np.random.default_rng([seed, _STREAM_DISTRACTORS, agent])
+        rows[n_seen:n_seen + n_distractors] = rng.random((n_distractors, n_attr)) < 0.5
         true_category = np.concatenate([
             np.repeat(categories, sizes.labeled),
             np.repeat(categories, sizes.unlabeled),
-            np.full(distractor_counts[agent], DISTRACTOR),
+            np.full(n_distractors, DISTRACTOR),
             np.repeat(categories, sizes.test),
         ])
+        rng = np.random.default_rng([seed, _STREAM_EMBEDDING, agent])
+        embedding = rng.standard_normal((cfg.feature_dims[agent], n_attr)) / math.sqrt(n_attr)
         # The float copy of the bits is freed before the noise is drawn, and
         # the noise before the next agent's copy is made.
-        features = (bits - 0.5) @ embeddings[agent].T
+        features = (rows - 0.5) @ embedding.T
         noise_rng = np.random.default_rng([seed, _STREAM_FEATURE_NOISE, agent])
-        noise = noise_rng.standard_normal((bits.shape[0], cfg.feature_dims[agent]))
+        noise = noise_rng.standard_normal((rows.shape[0], cfg.feature_dims[agent]))
         noise *= cfg.feature_noise_stds[agent]
         features += noise
         del noise
 
-        n_labeled, n_test = n_cat * sizes.labeled, n_cat * sizes.test
-        ids = np.arange(next_id, next_id + bits.shape[0])
+        ids = np.arange(next_id, next_id + rows.shape[0])
         split = np.repeat(
             np.array([LABELED, UNLABELED, TEST], dtype=np.int8),
-            (n_labeled, bits.shape[0] - n_labeled - n_test, n_test),
+            (n_labeled, rows.shape[0] - n_labeled - n_test, n_test),
         )
         seed_rows = split == LABELED
         pool = PoolState(
             ids=ids,
             split=split,
             category=np.where(seed_rows, true_category, UNASSIGNED),
-            bits=bits * seed_rows[:, None],
+            bits=rows * seed_rows[:, None],
             seed=seed_rows,
         )
-        domains.append(AgentDomain(agent, ids, features, true_category, bits, pool))
-        test_ids.append(ids[-n_test:])
-        next_id += bits.shape[0]
+        domains.append(AgentDomain(agent, ids, features, true_category, rows, pool))
+        next_id += rows.shape[0]
 
-    paired = np.stack(test_ids, axis=1)
-    return SyntheticWorld(config=cfg, domains=(domains[0], domains[1]), paired_test_ids=paired)
+    return SyntheticWorld(config=cfg, domains=(domains[0], domains[1]))
 
 
 @dataclass(frozen=True, eq=False)

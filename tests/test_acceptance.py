@@ -6,6 +6,7 @@ module-scoped batch of experiments.
 """
 from __future__ import annotations
 
+import hashlib
 import time
 from statistics import fmean
 
@@ -30,6 +31,7 @@ from coopattr import (
     encode_message,
     estimate_matrix_from_labels,
     generate_world,
+    records_to_csv,
     run_experiment,
     run_noise_study,
 )
@@ -150,6 +152,55 @@ def test_criterion_4_purity_ordering(trend_runs):
             if coop < purities[baseline][iteration_index] - 1e-9:
                 passed = False
     _report(4, "purity-ordering", passed, "; ".join(details))
+
+
+# SHA-256 of each trend run's ``records_to_csv``, keyed by (world seed, variant).
+# A float reordering can flip a near-tied transfer or prune cut late in a run,
+# which the goldens' few iterations of small worlds do not reach.
+TREND_RECORD_DIGESTS = {
+    (0, "SSL_IND"): "5abbab2ec65d5e7f7f69cba43f8bd310ec6d05ef7d27975ba50ae734f8be4d8e",
+    (0, "MULTIVIEW_IND"): "73111b4b7f24ec60c9478337b9553b6d59ce88509c97d0f3e063d9844fa78c32",
+    (0, "COOPERATIVE_UNIFORM"): "3ff48b740a2ce9b59cf4d29b04c105471b5bb6061fd74a2429459e2da0035996",
+    (1, "SSL_IND"): "1f11de26a1e4eee88640e3063a625badadfea1eeef6c6d848a1af9862bc9afbf",
+    (1, "MULTIVIEW_IND"): "54d0e8ac22b86cdacdddd322f0958f5d1ecfb9865e3f9230d2d728ef0e6c93de",
+    (1, "COOPERATIVE_UNIFORM"): "b13e8599ae7ca0038d8e3a430b9131f76a53a299a7584b0ea7807f6f47b403b6",
+    (2, "SSL_IND"): "4c3a20008b692f6ccfe0f8ac9ad4b127427a7062b1e159b434c5f4f29ed11cca",
+    (2, "MULTIVIEW_IND"): "b63d821ef84f1df4daab19acaab9d4bbdd0a8da98eeb6c8fa253116b6ab4da21",
+    (2, "COOPERATIVE_UNIFORM"): "89331b6cc135a44a2042bc77fccc467c2d77da5bc51b587f0cc0c52328521f0d",
+    (3, "SSL_IND"): "5ebdc21354ce0bbc8436597f02085e79a85f5748bf5137f65dde4d57209542d8",
+    (3, "MULTIVIEW_IND"): "d7466aef0857524e27b3721c17e634275acb854c6b1fb734ec56a6f72537113a",
+    (3, "COOPERATIVE_UNIFORM"): "ed96e7786cc6a2c284b00f5d58e2929babb2c450a37b10649ec770f12885783b",
+    (4, "SSL_IND"): "564e8117a14a327c0a7c6cc0e97a3509e2a8b3fa7a60874b788eff2a67ef53f1",
+    (4, "MULTIVIEW_IND"): "3640ed1ef8b6eeeb05e9dc19256fd56503a5c82ea58e358718f581a87136f56e",
+    (4, "COOPERATIVE_UNIFORM"): "45b7facdbe3c09b5937490af4e01bc8fa67be7f1d82de2e7e27bce62dbbaa487",
+    (5, "SSL_IND"): "d6ee044c2bd94b7eb459b237c176ba56c6b1e5b80d6daf4f71fce1f32f39c0d1",
+    (5, "MULTIVIEW_IND"): "7be6deec92e806ac36f887382177acd47a85b7cd82354ff159e47cbc79e284b5",
+    (5, "COOPERATIVE_UNIFORM"): "d803682cd590085221253abf9ce2684808a0bde3a19b015bdc73574ceffd1a67",
+    (6, "SSL_IND"): "8b33f05f112eafc0e73953af81fec6aef9c04083161ff29dfa385a75efdfde9a",
+    (6, "MULTIVIEW_IND"): "90732150f36651d2140e51c147b1235e6bd739b859987f2287e9aa5d88e3a3c4",
+    (6, "COOPERATIVE_UNIFORM"): "6153651cf5a19d58d9d35cf86b943020eee92c02c089930e99b817bcc1d250c0",
+    (7, "SSL_IND"): "3e00b8e3a8a855ab480feacae6eefd53814a493ee441bf8c9a198d44ea90fbf6",
+    (7, "MULTIVIEW_IND"): "2dde0ca33a8b88f229de0cf4386e0ce2e85f8ec44e2b6ccac84cab9da68c97ac",
+    (7, "COOPERATIVE_UNIFORM"): "b4d620e25e09c2e849e479120d37bf5b70827349e148aee1d45a2b3c946db2d5",
+    (8, "SSL_IND"): "f0c55fc6e8020122525d0e4e25fa0fdbee4a5371c6dd31d047accccf03c50d8a",
+    (8, "MULTIVIEW_IND"): "b0aeda9fa97c011c6744dd46c507d344c78d871fa80ec2b9bdb1c3c52ff53489",
+    (8, "COOPERATIVE_UNIFORM"): "c25d7c4f69f9ef7ae90f2c1fa2b289004afded459356ba50febbad80e2de378f",
+    (9, "SSL_IND"): "34f03c68696d4c84e47a6aa2b7a0d094e98bd25b9865ae72d7b19b0aa987176d",
+    (9, "MULTIVIEW_IND"): "663eca21f83bfc3bb7d1a3a66bcb3c9c1e7e9b7917ad26044d5fb7efbcdcf0e0",
+    (9, "COOPERATIVE_UNIFORM"): "859c612656790bf1bf094b6751557f147ec9d958cd62153c2db63f1f6d35bd1f",
+}
+
+
+def test_trend_batch_records_match_recorded_digests(trend_runs):
+    records, _ = trend_runs
+    moved = [
+        (seed, variant.name)
+        for variant in TREND_VARIANTS
+        for seed, run in zip(TREND_SEEDS, records[variant])
+        if hashlib.sha256(records_to_csv(run).encode()).hexdigest()
+        != TREND_RECORD_DIGESTS[seed, variant.name]
+    ]
+    assert not moved, f"records moved in (seed, variant) {moved}"
 
 
 def _dominance_world():

@@ -50,6 +50,8 @@ def test_parse_flat_config_rejects_duplicate_key():
         "prunes_per_category = 0",
         "prune_every = -3",
         "world_matrix_low = 0.5\nworld_matrix_high = 0.5",
+        "world_matrix_high = 1.5",
+        "world_matrix_low = -0.1",
         "unlabeled_per_category = 0",
         "n_categories = 1",
         # More categories than 2**(n_attributes - 1) separable profiles.

@@ -291,7 +291,7 @@ def _cloned_world(n_categories=3, n_attributes=4, seed=5):
                 bits.append((rng.random(n_attributes) < truth[:, category]).astype(np.int8))
     bits = np.stack(bits)
     embeddings = [rng.standard_normal((6, n_attributes)) for _ in range(2)]
-    domains, test_orders = [], []
+    domains = []
     next_id = 0
     categories, splits = np.array(categories), np.array(splits)
     seeds = splits == LABELED
@@ -302,21 +302,8 @@ def _cloned_world(n_categories=3, n_attributes=4, seed=5):
             ids, splits, np.where(seeds, categories, UNASSIGNED), bits * seeds[:, None], seeds
         )
         domains.append(AgentDomain(agent, ids, features, categories, bits, pool))
-        test_orders.append(ids[splits == TEST])
         next_id += len(categories)
-    return SyntheticWorld(config, (domains[0], domains[1]), np.stack(test_orders, axis=1))
-
-
-def test_features_for_matches_stacked_examples():
-    world = _cloned_world()
-    domain = world.domains[1]
-    ids = domain.ids.copy()
-    np.random.default_rng(3).shuffle(ids)
-    row_of = {ex_id: row for row, ex_id in enumerate(domain.ids.tolist())}
-    expected = np.stack([domain.features[row_of[i]] for i in ids.tolist()])
-    got = harness._features_for(domain, ids)
-    assert got.flags.c_contiguous
-    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    return SyntheticWorld(config, (domains[0], domains[1]))
 
 
 def test_cooperative_equals_multiview_on_iteration_one_with_cloned_agents():
@@ -489,6 +476,22 @@ def test_noise_sweep_config_rejects_bad_level(level):
 
     with pytest.raises(ConfigurationError):
         NoiseSweepConfig(study=NoiseStudyConfig(), levels=(0.5, level), n_seeds=1)
+
+
+def test_frozen_configs_do_not_keep_the_callers_lists():
+    from coopattr import NoiseStudyConfig, NoiseSweepConfig
+
+    levels, dims, stds = [0.5], [6, 5], [0.4, 0.4]
+    sweep = NoiseSweepConfig(study=NoiseStudyConfig(), levels=levels, n_seeds=1)
+    world = _small_config(feature_dims=dims, feature_noise_stds=stds)
+    # Changes after construction would otherwise skip every check.
+    levels.append(-1.0)
+    dims[0] = 0
+    stds[1] = float("nan")
+    assert sweep.levels == (0.5,)
+    assert world.feature_dims == (6, 5) and world.feature_noise_stds == (0.4, 0.4)
+    assert hash(sweep) == hash(NoiseSweepConfig(sweep.study, (0.5,), 1))
+    hash(world)
 
 
 @pytest.mark.parametrize("n_seeds", [0, 2.5, 20.0])
@@ -774,7 +777,7 @@ def test_only_the_message_crosses_between_the_agents(
     requests = [(size, arrays) for here, size, arrays in sends if here]
     replies = [(size, arrays) for here, size, arrays in sends if not here]
     assert len(requests) == len(replies) == 2 * iterations
-    # Requests carry no array; only the ensemble's paired-test posteriors
+    # Requests carry no array; only the ensemble's test-split posteriors
     # come back as one, once per iteration.
     assert sum(arrays for _, arrays in requests) == 0
     ensemble = variant is LearnerVariant.ENSEMBLE_IND
@@ -784,7 +787,8 @@ def test_only_the_message_crosses_between_the_agents(
     # Each agent's message (the weighted one's size bounds the uniform one's),
     # and the ensemble's (n_test, n_categories) float64 posteriors.
     message = 16 + 8 * small_world.config.n_attributes * (n_categories + 1) if cooperative else 0
-    posteriors = 8 * len(small_world.paired_test_ids) * n_categories if ensemble else 0
+    n_test = np.count_nonzero(small_world.domains[1].pool.split == TEST)
+    posteriors = 8 * n_test * n_categories if ensemble else 0
     per_iteration = sum(size for size, _ in requests + replies) / iterations
     assert per_iteration <= 2 * message + posteriors + _FRAMING_BYTES
 
@@ -1198,6 +1202,9 @@ def _world_digest(world) -> str:
 GOLDEN_WORLDS = {
     "small_world": "a7f2c7d4c8886f52c7563ee5677cf0cfc39f6fc24370c27a025223f6d9b767b5",
     "wide_pool": "ca95a4925dfc578304706c2d2e5b60d07f384061ab8d7dd4026b7ff4f01979ea",
+    # An odd distractor count splits (n + 1) // 2 and n // 2; none leaves both blocks empty.
+    "7 distractors": "13007b4b799dacaceccfc30fa37a5f52642b94c09b0f8c841f33030a7d0baa8c",
+    "no distractors": "c8f10def8d772ac2122b541f151049527ac293ee719fb1aa1157903e2a5108c7",
 }
 
 
@@ -1205,6 +1212,10 @@ GOLDEN_WORLDS = {
 def test_world_arrays_match_golden_digest(name):
     if name == "small_world":
         config = _small_config()
+    elif name == "7 distractors":
+        config = _small_config(n_distractors=7)
+    elif name == "no distractors":
+        config = _small_config(n_distractors=0)
     else:
         wide = ExperimentConfig(unlabeled_per_category=1000, n_distractors=20000)
         config = world_config(wide, 0)

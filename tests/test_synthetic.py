@@ -14,6 +14,7 @@ from coopattr import (
     ConfigurationError,
     NoiseStudyConfig,
     SplitSizes,
+    SyntheticWorld,
     SyntheticWorldConfig,
     calibrate_noise_std,
     contrast_ground_truth_matrix,
@@ -66,7 +67,6 @@ def test_same_seed_gives_identical_worlds():
     for da, db in zip(a.domains, b.domains):
         for xa, xb in zip(_arrays(da), _arrays(db)):
             assert xa.dtype == xb.dtype and np.array_equal(xa, xb)
-    assert np.array_equal(a.paired_test_ids, b.paired_test_ids)
 
 
 def test_different_seed_changes_the_world():
@@ -112,25 +112,47 @@ def test_seed_examples_are_annotated_with_truth():
             assert list(bits) == domain.true_bits[row].tolist()
 
 
+def _test_rows(domain, array):
+    return array[domain.pool.split == TEST]
+
+
 def test_paired_test_examples_share_attribute_draws():
-    world = generate_world(_world_config())
-    d0, d1 = world.domains
-    pairs = world.paired_test_ids
-    assert pairs.shape == (16, 2) and pairs.dtype == np.int64
-    with pytest.raises(ValueError):
-        pairs[0, 0] = 0
-    for domain, ids in ((d0, pairs[:, 0]), (d1, pairs[:, 1])):
-        assert (domain.pool.split[_rows(domain, ids)] == TEST).all()
-    rows0, rows1 = _rows(d0, pairs[:, 0]), _rows(d1, pairs[:, 1])
-    assert np.array_equal(d0.true_category[rows0], d1.true_category[rows1])
-    assert np.array_equal(d0.true_bits[rows0], d1.true_bits[rows1])
+    d0, d1 = generate_world(_world_config()).domains
+    assert _test_rows(d0, d0.true_category).shape == (16,)
+    assert np.array_equal(_test_rows(d0, d0.true_category), _test_rows(d1, d1.true_category))
+    assert np.array_equal(_test_rows(d0, d0.true_bits), _test_rows(d1, d1.true_bits))
 
 
 def test_agent_embeddings_differ():
     world = generate_world(_world_config(feature_dims=(6, 6), feature_noise_stds=(0.0, 0.0)))
     d0, d1 = world.domains
-    for id0, id1 in world.paired_test_ids[:5]:
-        assert not np.allclose(d0.features[_rows(d0, id0)], d1.features[_rows(d1, id1)])
+    for f0, f1 in zip(_test_rows(d0, d0.features)[:5], _test_rows(d1, d1.features)[:5]):
+        assert not np.allclose(f0, f1)
+
+
+def _first_rows(domain, n):
+    """``domain`` cut to its first ``n`` rows."""
+    pool = domain.pool
+    return AgentDomain(
+        domain.agent_id, domain.ids[:n], domain.features[:n], domain.true_category[:n],
+        domain.true_bits[:n],
+        PoolState(pool.ids[:n], pool.split[:n], pool.category[:n], pool.bits[:n], pool.seed[:n]),
+    )
+
+
+def test_world_refuses_test_splits_that_do_not_pair_row_by_row():
+    world = generate_world(_world_config())
+    first, second = world.domains
+    assert SyntheticWorld(world.config, (first, second)).domains == (first, second)
+    shorter = _first_rows(second, second.ids.size - 1)
+    true_category = second.true_category.copy()
+    true_category[second.pool.split == TEST] = _test_rows(second, true_category)[::-1]
+    reordered = AgentDomain(
+        1, second.ids, second.features, true_category, second.true_bits, second.pool
+    )
+    for other in (shorter, reordered):
+        with pytest.raises(ConfigurationError, match="pair row by row"):
+            SyntheticWorld(world.config, (first, other))
 
 
 def test_noiseless_world_with_certain_attributes_repeats_features():
@@ -404,6 +426,20 @@ def test_contrast_matrix_falls_back_to_codewords_when_draws_fail(n_attributes, n
     pattern = matrix > 0.5
     distances = (pattern[:, :, None] != pattern[:, None, :]).sum(axis=0)
     assert (distances + 2 * np.eye(n_categories, dtype=int)).min() >= 2
+
+
+@pytest.mark.parametrize(
+    "low, high",
+    [(-0.5, 1.5), (0.1, 1.5), (-0.1, 0.9), (0.5, 0.5), (0.9, 0.1), (np.nan, 0.9), (0.1, np.nan)],
+)
+def test_contrast_matrix_rejects_rates_outside_zero_to_one(low, high):
+    with pytest.raises(ConfigurationError, match=r"0 <= low < high <= 1, got low .* and high"):
+        contrast_ground_truth_matrix(4, 3, np.random.default_rng(0), low=low, high=high)
+
+
+def test_contrast_matrix_admits_the_unit_interval_ends():
+    matrix = contrast_ground_truth_matrix(4, 3, np.random.default_rng(0), low=0.0, high=1.0)
+    assert set(np.unique(matrix)) == {0.0, 1.0}
 
 
 def test_contrast_matrix_profiles_are_separated():
