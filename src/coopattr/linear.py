@@ -4,10 +4,12 @@ A bank holds its N one-vs-rest category or M attribute models as one weight
 matrix and one bias vector. Training minimizes L2-regularized logistic loss
 with deterministic full-batch gradient descent (zero initialization), so
 identical inputs and config always produce bit-identical weights. The
-descent runs in float32; the banks hold float64 weights, and the divergence
-check and every score computed from a bank are float64. The weights are not
-those of a float64 descent: they differ by up to ~3e-6, bounded at 1e-5
-(see ``_fit``).
+descent runs in float32 in the transposed (k, n) layout, one row per
+classifier, with the logistic link taken as 0.5 tanh(z / 2) + 0.5 (within
+6.0e-8 of the float64 logistic); the banks hold float64 (dim, k) weights,
+and the divergence check and every score computed from a bank are float64.
+The weights are not those of a float64 descent: they differ by up to ~3e-6,
+bounded at 1e-5 (see ``_fit``).
 """
 from __future__ import annotations
 
@@ -65,16 +67,28 @@ def _fit(features: np.ndarray, targets: np.ndarray, config: TrainConfig):
     target column per classifier.
 
     The fixed step count acts as early stopping, so there is no convergence
-    test. Each column's update depends only on its own weights, so fitting k
-    classifiers that share the feature matrix in one call gives the same bits
-    as fitting them one by one.
+    test. Each column's update depends only on its own weights, so fitting
+    any two or more of k columns that share the feature matrix in one call
+    gives the same bits as the same columns of the k-column fit. A
+    one-column fit is the exception: numpy hands its (1, n) gradient product
+    to BLAS's matrix-vector kernel, which sums in another order, so its
+    weights differ from the same column of a wider fit by float32 rounding
+    (up to 4.8e-7 measured, bounded at 1e-6 in ``tests/test_linear.py``).
+    Only ``train_attribute_bank`` with exactly one mixed attribute fits one
+    column.
 
-    The steps run in float32, which halves the bytes each pass moves; the
-    weights come back as float64 for the banks, and everything that scores
-    with them stays float64. The result is still bit-deterministic, but it
-    is not the float64 loop's result: on trend-sized fits (|w| up to ~6,
-    500 steps) each weight and bias differs from it by at most ~3e-6, and
-    ``tests/test_linear.py`` bounds that at 1e-5.
+    The steps run in float32, which halves the bytes each pass moves, and
+    in the transposed layout: scores, residuals and targets are (k, n), one
+    contiguous row per classifier, so the bias gradient is a contiguous
+    row sum, and the weights are held as (k, dim). The link is
+    0.5 tanh(z / 2) + 0.5, the logistic function with neither a branch nor
+    an overflow; in float32 it is within 6.0e-8 of the float64 logistic at
+    every float32 z in [-40, 40]. The weights come back as float64 (dim, k)
+    for the banks, and everything that scores with them stays float64. The
+    result is still bit-deterministic, but it is not the float64 loop's
+    result: on trend-sized fits (|w| up to ~6, 500 steps) each weight and
+    bias differs from it by at most ~3e-6, and ``tests/test_linear.py``
+    bounds that at 1e-5.
 
     A step too large for the loss's curvature makes descent diverge. So a
     fit raises ``TrainingError`` when a column's final L2-regularised mean
@@ -83,22 +97,29 @@ def _fit(features: np.ndarray, targets: np.ndarray, config: TrainConfig):
     """
     n, dim = features.shape
     k = targets.shape[1]
-    x, y = features.astype(np.float32), targets.astype(np.float32)
-    weights = np.zeros((dim, k), np.float32)
-    bias = np.zeros(k, np.float32)
+    x = features.astype(np.float32)
+    xt = np.ascontiguousarray(x.T)
+    yt = np.ascontiguousarray(targets.T, dtype=np.float32)
+    weights = np.zeros((k, dim), np.float32)
+    bias = np.zeros((k, 1), np.float32)
     step, l2, inv_n = (np.float32(v) for v in (config.learning_rate, config.l2, 1.0 / n))
+    half = np.float32(0.5)
     for _ in range(config.max_iters):
-        z = x @ weights
-        z += bias
-        residual = _sigmoid(z)
-        residual -= y
-        residual *= inv_n
-        grad_w = x.T @ residual
+        r = weights @ xt
+        r += bias
+        # The logistic function as 0.5 tanh(z / 2) + 0.5: no overflow, no branch.
+        r *= half
+        np.tanh(r, out=r)
+        r *= half
+        r += half
+        r -= yt
+        r *= inv_n
+        grad_w = r @ x
         grad_w += l2 * weights
-        grad_b = residual.sum(axis=0)
+        grad_b = r.sum(axis=1, keepdims=True)
         weights -= step * grad_w
         bias -= step * grad_b
-    weights, bias = weights.astype(float), bias.astype(float)
+    weights, bias = weights.T.astype(float, order="C"), bias[:, 0].astype(float)
     z = features @ weights
     z += bias
     # log(1 + e^z) - y z is the logistic loss of score z for target y.
@@ -256,7 +277,8 @@ def train_banks(
     each gradient step's feature products. Categories are checked as
     ``train_category_bank`` checks them; every category column then has both
     classes, so only attribute columns can take the constant fallback. The
-    weights equal those of two separate calls (see ``_fit``).
+    weights equal those of two separate calls, except when exactly one
+    attribute is mixed: its separate fit is a one-column fit (see ``_fit``).
     """
     features, targets = _category_targets(features, categories, n_categories)
     attributes = np.asarray(attributes)
