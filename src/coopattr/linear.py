@@ -6,10 +6,14 @@ with deterministic full-batch gradient descent (zero initialization), so
 identical inputs and config always produce bit-identical weights. The
 descent runs in float32 in the transposed (k, n) layout, one row per
 classifier, with the logistic link taken as 0.5 tanh(z / 2) + 0.5 (within
-6.0e-8 of the float64 logistic); the banks hold float64 (dim, k) weights,
-and the divergence check and every score computed from a bank are float64.
-The weights are not those of a float64 descent: they differ by up to ~3e-6,
-bounded at 1e-5 (see ``_fit``).
+6.0e-8 of the float64 logistic). It holds [w / 2 | b / 2] as one (k, dim + 1)
+parameter block, so a step is 12 numpy calls that allocate nothing; every
+rewrite scales by a power of two, so the weights are bit for bit those of
+the plain tanh-link loop. The banks hold float64 (dim, k) weights, and the
+divergence check and every score computed from a bank are float64. The
+weights are not those of a float64 descent: they differ by up to ~3e-6,
+bounded at 1e-5 (see ``_fit``). ``learning_rate`` and a non-zero ``l2`` must
+be normal float32 numbers, at least 1.18e-38.
 """
 from __future__ import annotations
 
@@ -26,6 +30,9 @@ from .pool import _check_int, _int_array
 #: downstream products can reach exactly 0 or 1.
 PROB_CLAMP = 1e-6
 
+#: The smallest normal float32, about 1.18e-38.
+_FLOAT32_TINY = float(np.finfo(np.float32).tiny)
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -41,10 +48,13 @@ class TrainConfig:
         _check_int(self.max_iters, "max_iters", 1)
         if not (math.isfinite(self.l2) and math.isfinite(self.learning_rate)):
             raise ConfigurationError("l2 and learning_rate must be finite")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
-        if self.l2 < 0:
-            raise ConfigurationError("l2 must be non-negative")
+        # The descent runs in float32: a smaller step or decay would round to
+        # 0 or to a subnormal there, and the halved updates of ``_fit`` are
+        # exact only for normal floats.
+        if self.learning_rate < _FLOAT32_TINY:
+            raise ConfigurationError(f"learning_rate must be at least {_FLOAT32_TINY:.3g}")
+        if self.l2 < 0 or 0 < self.l2 < _FLOAT32_TINY:
+            raise ConfigurationError(f"l2 must be 0 or at least {_FLOAT32_TINY:.3g}")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -79,16 +89,46 @@ def _fit(features: np.ndarray, targets: np.ndarray, config: TrainConfig):
 
     The steps run in float32, which halves the bytes each pass moves, and
     in the transposed layout: scores, residuals and targets are (k, n), one
-    contiguous row per classifier, so the bias gradient is a contiguous
-    row sum, and the weights are held as (k, dim). The link is
-    0.5 tanh(z / 2) + 0.5, the logistic function with neither a branch nor
-    an overflow; in float32 it is within 6.0e-8 of the float64 logistic at
-    every float32 z in [-40, 40]. The weights come back as float64 (dim, k)
-    for the banks, and everything that scores with them stays float64. The
-    result is still bit-deterministic, but it is not the float64 loop's
-    result: on trend-sized fits (|w| up to ~6, 500 steps) each weight and
-    bias differs from it by at most ~3e-6, and ``tests/test_linear.py``
-    bounds that at 1e-5.
+    contiguous row per classifier. The link is 0.5 tanh(z / 2) + 0.5, the
+    logistic function with neither a branch nor an overflow; in float32 it
+    is within 6.0e-8 of the float64 logistic at every float32 z in
+    [-40, 40]. The weights come back as float64 (dim, k) for the banks, and
+    everything that scores with them stays float64. The result is still
+    bit-deterministic, but it is not the float64 loop's result: on
+    trend-sized fits (|w| up to ~6, 500 steps) each weight and bias differs
+    from it by at most ~3e-6, and ``tests/test_linear.py`` bounds that at
+    1e-5.
+
+    A step costs numpy's per-call overhead more than arithmetic, so it is
+    12 calls into preallocated buffers, and it gives the bits of the plain
+    loop (z = w x + b, p = 0.5 tanh(z / 2) + 0.5, r = (p - y) / n,
+    w -= step (r x + l2 w), b -= step sum(r); kept in ``tests/test_linear.py``):
+
+    - The parameters are one C-contiguous block [w / 2 | b / 2] of shape
+      (k, dim + 1). Halving every product and partial sum of ``w x``,
+      fused multiply-adds included, halves the result exactly, so
+      ``(w / 2) x + b / 2`` is z / 2 bit for bit and no step scales z.
+    - The residual chain is t = tanh(z / 2), then t + 1, minus 2 y, times
+      (1 / n) / 2. Each link is twice the plain loop's (0.5 t + 0.5,
+      minus y, times 1 / n) until the last multiply halves it back, and
+      rounding commutes with doubling, so the residual is the same.
+    - The gradient block [r x | sum(r)] takes the feature product and the
+      row sums (the same pairwise sums as ``r.sum(axis=1)``) in place. The
+      bias is not folded into the products as a ones column: that would
+      sum in an order that depends on the BLAS kernel.
+    - The decay is the block times [2 l2 ... 2 l2 | 0], which is l2 w on
+      the weights. The update then adds the decay, scales the gradient by
+      step / 2 and subtracts it from the halved parameters: exactly half of
+      the plain loop's update.
+
+    Scaling by a power of two is exact for normal floats, so ``TrainConfig``
+    refuses a ``learning_rate`` or a non-zero ``l2`` below the smallest
+    normal float32. A product that itself underflows to a subnormal can
+    still round differently: learning rates within a few times that bound
+    take subnormal steps and can give other bits (their weights stay below
+    ~1e-36); no fit in ``tests/test_linear.py`` meets one.
+    A non-finite parameter (a diverged step) may turn to NaN sooner than in
+    the plain loop; the check below refuses both.
 
     A step too large for the loss's curvature makes descent diverge. So a
     fit raises ``TrainingError`` when a column's final L2-regularised mean
@@ -99,27 +139,38 @@ def _fit(features: np.ndarray, targets: np.ndarray, config: TrainConfig):
     k = targets.shape[1]
     x = features.astype(np.float32)
     xt = np.ascontiguousarray(x.T)
-    yt = np.ascontiguousarray(targets.T, dtype=np.float32)
-    weights = np.zeros((k, dim), np.float32)
-    bias = np.zeros((k, 1), np.float32)
+    y2 = np.ascontiguousarray(targets.T, dtype=np.float32)
+    y2 *= 2.0
     step, l2, inv_n = (np.float32(v) for v in (config.learning_rate, config.l2, 1.0 / n))
-    half = np.float32(0.5)
+    params = np.zeros((k, dim + 1), np.float32)
+    half_w, half_b = params[:, :dim], params[:, dim:]
+    grad = np.empty_like(params)
+    grad_w, grad_b = grad[:, :dim], grad[:, dim]
+    decay = np.empty_like(params)
+    decay_rate = np.zeros(dim + 1, np.float32)
+    decay_rate[:dim] = 2.0 * l2
+    one, residual_scale, half_step = np.float32(1.0), inv_n / 2, step / 2
+    r = np.empty((k, n), np.float32)
+    # Each call writes into its last argument. Local names, float32 scalars
+    # and positional outputs skip a global lookup, a scalar conversion and
+    # numpy's keyword parsing per call.
+    matmul, tanh, add, subtract, multiply = np.matmul, np.tanh, np.add, np.subtract, np.multiply
+    row_sum = np.add.reduce
     for _ in range(config.max_iters):
-        r = weights @ xt
-        r += bias
-        # The logistic function as 0.5 tanh(z / 2) + 0.5: no overflow, no branch.
-        r *= half
-        np.tanh(r, out=r)
-        r *= half
-        r += half
-        r -= yt
-        r *= inv_n
-        grad_w = r @ x
-        grad_w += l2 * weights
-        grad_b = r.sum(axis=1, keepdims=True)
-        weights -= step * grad_w
-        bias -= step * grad_b
-    weights, bias = weights.T.astype(float, order="C"), bias[:, 0].astype(float)
+        matmul(half_w, xt, r)
+        add(r, half_b, r)
+        tanh(r, r)
+        add(r, one, r)
+        subtract(r, y2, r)
+        multiply(r, residual_scale, r)
+        matmul(r, x, grad_w)
+        row_sum(r, 1, None, grad_b)
+        multiply(params, decay_rate, decay)
+        add(grad, decay, grad)
+        multiply(grad, half_step, grad)
+        subtract(params, grad, params)
+    params *= 2.0
+    weights, bias = params[:, :dim].T.astype(float, order="C"), params[:, dim].astype(float)
     z = features @ weights
     z += bias
     # log(1 + e^z) - y z is the logistic loss of score z for target y.

@@ -137,6 +137,17 @@ def test_load_experiment_config_rejects_unknown_key(tmp_path):
         load_experiment_config(path)
 
 
+@pytest.mark.parametrize(
+    "key, value", [("learning_rate", "1e-46"), ("l2", "1e-50"), ("l2", "1e-39")]
+)
+def test_load_experiment_config_rejects_training_values_below_float32(tmp_path, key, value):
+    # The descent runs in float32, where these round to 0 or a subnormal.
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"{key} = {value}\n")
+    with pytest.raises(ConfigurationError, match=key):
+        load_experiment_config(path)
+
+
 def test_load_experiment_config_rejects_bad_value(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("n_categories = banana\n")

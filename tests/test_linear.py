@@ -5,6 +5,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopattr import (
     ConfigurationError,
@@ -370,11 +372,23 @@ def test_train_banks_rejects_missing_category():
         ("learning_rate", float("inf")),
         ("l2", -1e-3),
         ("l2", float("nan")),
+        # Below the smallest normal float32 (1.18e-38): the float32 descent
+        # would take a step of 0 or a subnormal one, or drop the decay.
+        ("learning_rate", 1e-46),
+        ("learning_rate", 1e-39),
+        ("l2", 1e-50),
+        ("l2", 1e-39),
     ],
 )
 def test_train_config_rejects_bad_value(field, value):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=field):
         TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_the_smallest_normal_float32():
+    tiny = float(np.finfo(np.float32).tiny)
+    TrainConfig(learning_rate=tiny, l2=tiny)
+    TrainConfig(l2=0.0)
 
 
 def test_divergent_step_raises_training_error():
@@ -424,11 +438,40 @@ def _reference_fit(features, targets, config):
     return weights, bias
 
 
-def _noisy_linear_targets(n, dim):
-    # Trend-sized fits: 20 columns of noisy linear targets.
+def _tanh_reference_fit(features, targets, config):
+    # The float32 (k, n) descent with the tanh link before the half-weight
+    # block, kept verbatim as the reference for the bits of ``_fit``.
+    n, dim = features.shape
+    k = targets.shape[1]
+    x = features.astype(np.float32)
+    xt = np.ascontiguousarray(x.T)
+    yt = np.ascontiguousarray(targets.T, dtype=np.float32)
+    weights = np.zeros((k, dim), np.float32)
+    bias = np.zeros((k, 1), np.float32)
+    step, l2, inv_n = (np.float32(v) for v in (config.learning_rate, config.l2, 1.0 / n))
+    half = np.float32(0.5)
+    for _ in range(config.max_iters):
+        r = weights @ xt
+        r += bias
+        r *= half
+        np.tanh(r, out=r)
+        r *= half
+        r += half
+        r -= yt
+        r *= inv_n
+        grad_w = r @ x
+        grad_w += l2 * weights
+        grad_b = r.sum(axis=1, keepdims=True)
+        weights -= step * grad_w
+        bias -= step * grad_b
+    return weights.T.astype(float, order="C"), bias[:, 0].astype(float)
+
+
+def _noisy_linear_targets(n, dim, k=20):
+    # Trend-sized fits: k columns of noisy linear targets.
     rng = np.random.default_rng(1000 * dim + n)
     features = rng.normal(size=(n, dim))
-    targets = (features @ rng.normal(size=(dim, 20)) + rng.normal(size=(n, 20)) > 0).astype(float)
+    targets = (features @ rng.normal(size=(dim, k)) + rng.normal(size=(n, k)) > 0).astype(float)
     return features, targets
 
 
@@ -474,3 +517,43 @@ def test_column_subsets_fit_the_bits_of_the_full_fit(n):
         one_weights, one_bias = _fit(features, targets[:, [col]], TrainConfig())
         assert np.abs(one_weights[:, 0] - weights[:, col]).max() <= 1e-6
         assert abs(one_bias[0] - bias[col]) <= 1e-6
+
+
+@pytest.mark.parametrize("n", [2, 5, 7, 8, 9, 50, 129, 257, 410, 4000])
+def test_half_weight_descent_is_bit_identical_to_the_tanh_reference(n):
+    # k = 1 goes through BLAS's matrix-vector kernel, k >= 2 through gemm.
+    configs = [TrainConfig(), TrainConfig(max_iters=200)]
+    configs += [TrainConfig(l2=0.0), TrainConfig(l2=1e-9)]
+    for dim in (1, 3, 12, 16):
+        for k in (1, 2, 10, 20):
+            features, targets = _noisy_linear_targets(n, dim, k)
+            for config in configs:
+                weights, bias = _fit(features, targets, config)
+                want_weights, want_bias = _tanh_reference_fit(features, targets, config)
+                assert np.array_equal(weights, want_weights), (dim, k, config)
+                assert np.array_equal(bias, want_bias), (dim, k, config)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    dim=st.integers(1, 8),
+    k=st.integers(1, 6),
+    learning_rate=st.floats(1e-6, 0.5),
+    l2=st.one_of(st.just(0.0), st.floats(1e-12, 0.1)),
+    max_iters=st.integers(1, 50),
+)
+def test_half_weight_descent_matches_the_tanh_reference_on_drawn_fits(
+    seed, n, dim, k, learning_rate, l2, max_iters
+):
+    # Features in [-1, 1] bound the loss's curvature by (dim + 1) / 4 + l2,
+    # so every drawn step is below 2 / L and no fit diverges.
+    rng = np.random.default_rng(seed)
+    features = rng.uniform(-1.0, 1.0, size=(n, dim))
+    targets = (rng.random((n, k)) < 0.5).astype(float)
+    config = TrainConfig(l2=l2, learning_rate=learning_rate, max_iters=max_iters)
+    weights, bias = _fit(features, targets, config)
+    want_weights, want_bias = _tanh_reference_fit(features, targets, config)
+    assert np.array_equal(weights, want_weights)
+    assert np.array_equal(bias, want_bias)
