@@ -9,37 +9,43 @@ message
 
     rate(j, i) * p(a_j present | x) + (1 - rate(j, i)) * (1 - p(a_j present | x)).
 
-Two kernels share the message slabs (``_messages``): they work
-category-major, one attribute at a time, on (N, b) slabs of at most
-``_BLOCK_ROWS`` examples.
+Two kernels work category-major, one attribute at a time, on (N, b) slabs
+of at most ``_BLOCK_ROWS`` examples.
 
-- :func:`crf_posterior_batch` accumulates the messages in log space, so
-  nothing underflows; the priors are constant across categories and cancel
-  in the normalization. It writes each block's rows into one (n, N) result;
-  see its docstring for why that keeps every bit of the result.
+- :func:`crf_posterior_batch` takes the float64 messages of ``_messages``
+  and accumulates them in log space, so nothing underflows; the priors are
+  constant across categories and cancel in the normalization. It writes
+  each block's rows into one (n, N) result; see its docstring for why that
+  keeps every bit of the result.
 - :func:`crf_argmax_batch` returns only each row's most probable category,
-  which is all the noise study reads. It multiplies the messages into a
-  running float32 product: no log, exp or normaliser, and half the bytes
-  per pass of a float64 one. It must give exactly the argmax of the
-  posterior, so a guard decides which rows the product may settle.
+  which is all the noise study reads. It takes each attribute's float32
+  message slab as one (N, 2) @ (2, b) matrix product of ``[rate | 1 -
+  rate]`` and ``[p ; 1 - p]``, and multiplies it into a running float32
+  product: no log, exp or normaliser, and half the bytes per pass of a
+  float64 one. It must give exactly the argmax of the posterior, so a
+  guard decides which rows the product may settle.
 
   The float64 log kernel's scores differ from the exact log-probabilities
   by at most about (M + M**2) * 16 * 2**-53. For the product, u = 2**-24:
   ``1 - p`` and ``1 - rate`` are taken in float64 and only then rounded to
   float32, so each message is a sum of two non-negative rounded products
   of rounded factors, with no cancellation and a relative error of at most
-  about 4u. The product of M messages is then within a relative 5M u of
-  the exact product, while its partial products stay normal floats, and
-  scaling it by the margin adds one more u. So a row whose best product
-  beats every other category's by a relative margin above
+  about 4u. That holds for whatever kernel BLAS (or numpy, for one row or
+  one category) takes the product with: in either summation order, and
+  with or without a fused multiply-add, which only skips a rounding. The
+  product of M messages is then within a relative 5M u of the exact
+  product, while its partial products stay normal floats, and scaling it
+  by the margin adds one more u. So a row whose best product beats every
+  other category's by a relative margin above
   (10M + 1) u + (M + M**2) * 16 * 2**-53 has one strict maximum, at the
   same category, in both kernels. The margin is 2**-14 * (M + 1): for M up
   to 2**16 it is 102 to 186 times that bound, and at least 100 times its
   compounded form (1 + u)**(10M + 1) - 1 plus the log term. The best
   product must also be at least 1e-36, above float32's smallest normal
   1.18e-38, so no partial product of the best is subnormal (each message
-  is below 1), and a category whose product is subnormal is far behind it.
-  The other rows (exact or near ties, float32 underflow, M = 0, and every
+  is below 1, so each partial product is at least the full one, in any
+  order), and a category whose product is subnormal is far behind it. The
+  other rows (exact or near ties, float32 underflow, M = 0, and every
   row when M is above the bound) go to the float64 posterior kernel, on the
   rates the call has already conditioned. For large M the float32 products
   underflow and every row goes there (with rates and unaries uniform on
@@ -168,17 +174,14 @@ def crf_posterior_batch(
     return result
 
 
-def _messages(rates, off, probs, dtype=np.float64):
+def _messages(rates, off, probs):
     """Yield each attribute's two-state message to every category, in
-    ascending attribute order, as the same (N, b) ``dtype`` buffer for the
-    (b, M) ``probs`` rows; a consumer may overwrite it before taking the
-    next. ``1 - p`` is taken in float64 and rounded to ``dtype`` once, as
-    it is stored; for float64 the casts are no-ops."""
+    ascending attribute order, as the same (N, b) buffer for the (b, M)
+    ``probs`` rows; a consumer may overwrite it before taking the next."""
     p_t = np.ascontiguousarray(probs.T)
-    q_t = np.subtract(1.0, p_t, out=np.empty(p_t.shape, dtype))
-    p_t, rates, off = (a.astype(dtype, copy=False) for a in (p_t, rates, off))
+    q_t = 1.0 - p_t
     shape = (rates.shape[1], probs.shape[0])
-    term, other = np.empty(shape, dtype), np.empty(shape, dtype)
+    term, other = np.empty(shape), np.empty(shape)
     for j in range(rates.shape[0]):
         np.multiply(rates[j, :, None], p_t[j], out=term)
         np.multiply(off[j, :, None], q_t[j], out=other)
@@ -207,19 +210,26 @@ def crf_argmax_batch(
     """The most probable category of each attribute-probability row: equal,
     row by row, to ``np.argmax(crf_posterior_batch(...), axis=1)``.
 
-    Each block multiplies the messages into a running (N, b) float32
-    product, with no log, exp or normaliser. A row whose best product beats
-    every other category's by the relative margin ``_ARGMAX_MARGIN * (M +
-    1)``, and is at least ``_ARGMAX_FLOOR``, is decided by its product; the
-    module docstring derives both from float32's error bound. The others
-    (ties, near ties, underflow, no attributes, or every row when M exceeds
-    ``_ARGMAX_MAX_ATTRIBUTES``) are scored in the same block by the
-    posterior kernel on the same conditioned rates; its rows depend only on
-    their own input rows, so each gets :func:`crf_posterior_batch`'s argmax.
+    Each block builds every attribute's (N, b) float32 message slab as one
+    matrix product, (N, 2) ``[rate | 1 - rate]`` @ (2, b) ``[p ; 1 - p]``,
+    into one reused buffer, and multiplies it into a running (N, b) float32
+    product, with no log, exp or normaliser. The message's error bound does
+    not depend on the kernel that takes the product (see the module
+    docstring), so neither does the returned argmax. A row whose best
+    product beats every other category's by the relative margin
+    ``_ARGMAX_MARGIN * (M + 1)``, and is at least ``_ARGMAX_FLOOR``, is
+    decided by its product; the module docstring derives both from
+    float32's error bound. The others (ties, near ties, underflow, no
+    attributes, or every row when M exceeds ``_ARGMAX_MAX_ATTRIBUTES``) are
+    scored in the same block by the posterior kernel on the same
+    conditioned rates; its rows depend only on their own input rows, so
+    each gets :func:`crf_posterior_batch`'s argmax.
     """
     rates, probs = _conditioned(matrix, attr_probs, n_categories, 2)
     off = 1.0 - rates
     margin = 1.0 + _ARGMAX_MARGIN * (rates.shape[0] + 1)
+    # Row j is attribute j's (N, 2) [rate | 1 - rate], each rounded once.
+    rate_pairs = np.stack((rates, off), axis=-1).astype(np.float32)
     # Row 0 counts each row's categories within the margin of its best
     # product; row 1 sums their indices, which is the best one when it is
     # the only one. The sums are small integers, exact in any order.
@@ -229,9 +239,16 @@ def crf_argmax_batch(
         block = slice(start, start + _BLOCK_ROWS)
         pending = np.arange(probs[block].shape[0])  # every row, unless the product decides
         if rates.shape[0] <= _ARGMAX_MAX_ATTRIBUTES:
+            # Row j is attribute j's (2, b) [p ; 1 - p]; 1 - p is taken in
+            # float64 and rounded once, as it is stored.
+            p_t = probs[block].T
+            pairs = np.empty((rates.shape[0], 2, pending.size), np.float32)
+            pairs[:, 0] = p_t
+            np.subtract(1.0, p_t, out=pairs[:, 1])
             product = np.ones((n_categories, pending.size), np.float32)
-            for term in _messages(rates, off, probs[block], np.float32):
-                product *= term
+            term = np.empty_like(product)
+            for j in range(rates.shape[0]):
+                product *= np.matmul(rate_pairs[j], pairs[j], out=term)
             top = product.max(axis=0)
             product *= margin
             count, result[block] = count_and_index @ (product >= top)

@@ -283,11 +283,12 @@ def test_noise_sweep_config_levels_span_good_to_bad():
 # n_seeds=3, rng_seed=0)); recorded before the noise-study settings that no
 # caller set were removed.
 GOLDEN_NOISE_RESULTS = "d445de55c50dd1b39b4c55e4ae3092c7332dd1af80c8505b24716f2ae0d7cd1d"
+GOLDEN_NOISE_CONFIG = "noise_levels = 2\nnoise_seeds = 3\nnoise_rng_seed = 0\n"
 
 
 def test_sweep_noise_matches_golden_digest(tmp_path):
     config = tmp_path / "cfg.txt"
-    config.write_text("noise_levels = 2\nnoise_seeds = 3\nnoise_rng_seed = 0\n")
+    config.write_text(GOLDEN_NOISE_CONFIG)
     out = tmp_path / "sweep"
     assert main(["sweep-noise", "--config", str(config), "--out", str(out)]) == 0
     text = (out / "noise_results.csv").read_text()

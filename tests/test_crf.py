@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,8 +278,13 @@ def _argmax_case(kind, seed, n_rows):
     """Rates, unaries and category count of one case of ``kind`` for the
     argmax kernel's oracle test."""
     rng = np.random.default_rng(seed)
-    n_categories = int(rng.integers(2, 7))
-    n_attributes = 0 if kind == "no_attributes" else int(rng.integers(1, 13))
+    # One category or one attribute: numpy may then take a message's
+    # (N, 2) @ (2, b) product with a matrix-vector kernel, not sgemm.
+    n_categories = 1 if kind == "one_category" else int(rng.integers(2, 7))
+    if kind in ("no_attributes", "one_attribute"):
+        n_attributes = int(kind == "one_attribute")
+    else:
+        n_attributes = int(rng.integers(1, 13))
     rates = rng.uniform(0, 1, (n_attributes, n_categories))
     probs = rng.uniform(0, 1, (n_rows, n_attributes)).clip(1e-6, 1 - 1e-6)
     if kind in ("tie", "near_tie"):
@@ -337,7 +343,8 @@ def _argmax_case(kind, seed, n_rows):
 
 _ARGMAX_KINDS = [
     "random", "tie", "near_tie", "float32_tie", "float32_near_tie", "clamped", "no_attributes",
-    "underflow", "float32_underflow", "many_attributes", "noise_study",
+    "underflow", "float32_underflow", "many_attributes", "noise_study", "one_category",
+    "one_attribute",
 ]
 
 
@@ -398,6 +405,29 @@ def test_argmax_kernel_sends_every_row_to_the_posterior(max_attributes, monkeypa
     assert batches == []
     assert got.dtype == np.intp
     assert np.array_equal(got, np.argmax(crf_posterior_batch(rates, probs, n_categories), axis=1))
+
+
+def test_argmax_kernel_memory_is_bounded_by_one_block():
+    n, width = 20_000, 10
+    rng = np.random.default_rng(9)
+    rates = rng.uniform(0, 1, (width, width))
+    probs = rng.uniform(0.01, 0.99, (n, width))
+    # Live at the peak: the intp result and one block's scratch. With
+    # M = N = 10 that is the (M, 2, b) unary pairs, the running product and
+    # the message term (four slabs of _BLOCK_ROWS x 10 float32), the guard's
+    # (N, b) comparison and its float64 copy (two and a quarter), and row
+    # vectors: about 7.4 slabs. An (M, N, b) message tensor (ten slabs), or
+    # a float32 copy of the whole batch's unaries (almost five), breaks the
+    # bound.
+    slab = crf._BLOCK_ROWS * width * 4
+    bound = n * np.dtype(np.intp).itemsize + 9 * slab
+    tracemalloc.start()
+    try:
+        crf_argmax_batch(rates, probs, width)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
 
 
 @pytest.mark.parametrize(

@@ -1061,9 +1061,11 @@ _KERNEL_SETS = {
 def test_records_do_not_depend_on_simd_or_blas_kernels(kernels):
     # The golden digests were recorded on an AVX-512 host. A fresh
     # interpreter held to other kernels (the variables are read once, when
-    # numpy loads) must give the same records. It prints which of the
-    # features are off, so a host where the variables change nothing shows
-    # in the log.
+    # numpy loads) must give the same records, and the noise sweep of
+    # test_cli's golden digest, whose argmax takes its float32 messages from
+    # OpenBLAS's sgemm (the Prescott kernels have no FMA). It prints which
+    # of the features are off, so a host where the variables change nothing
+    # shows in the log.
     code = (
         "import hashlib, json, os\n"
         "from numpy._core._multiarray_umath import __cpu_features__ as features\n"
@@ -1080,6 +1082,15 @@ def test_records_do_not_depend_on_simd_or_blas_kernels(kernels):
         "loop = t.loop_config(t.ExperimentConfig())\n"
         "v = t.LearnerVariant.COOPERATIVE_UNIFORM\n"
         "digests['default ' + v.name] = digest(v, default, 3, loop)\n"
+        "import tempfile, test_cli\n"
+        "with tempfile.TemporaryDirectory() as tmp:\n"
+        "    config = os.path.join(tmp, 'cfg.txt')\n"
+        "    with open(config, 'w') as f:\n"
+        "        f.write(test_cli.GOLDEN_NOISE_CONFIG)\n"
+        "    assert test_cli.main(['sweep-noise', '--config', config, '--out', tmp]) == 0\n"
+        "    with open(os.path.join(tmp, 'noise_results.csv')) as f:\n"
+        "        noise = hashlib.sha256(f.read().encode()).hexdigest()\n"
+        "assert noise == test_cli.GOLDEN_NOISE_RESULTS, f'noise sweep digest {noise}'\n"
         "print(json.dumps(digests))\n"
     )
     src = str(Path(harness.__file__).resolve().parents[1])
