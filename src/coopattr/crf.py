@@ -132,7 +132,8 @@ def _conditioned(matrix, attr_probs, n_categories, ndim):
         raise ConfigurationError(
             f"got {probs.shape[-1]} attribute probabilities for {values.shape[0]} attributes"
         )
-    if not ((probs > 0.0) & (probs < 1.0)).all():
+    # min and max make no whole-batch temporaries; NaN fails both tests.
+    if probs.size and not (probs.min() > 0.0 and probs.max() < 1.0):
         raise ConfigurationError("attribute probabilities must lie strictly inside (0, 1)")
     return np.clip(values, MATRIX_CLAMP, 1.0 - MATRIX_CLAMP), probs
 
@@ -141,11 +142,13 @@ def crf_posterior_batch(
     matrix: AttributeCategoryMatrix | np.ndarray,
     attr_probs: np.ndarray,
     n_categories: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Category posteriors for a batch of attribute-probability rows.
 
     Returns a C-contiguous (n_examples, n_categories) array whose rows sum
-    to 1.
+    to 1: ``out``, when it is given, which must be such an array of float64
+    and must not share memory with ``attr_probs``.
 
     The rows are scored in blocks of at most ``_BLOCK_ROWS``, each written
     into its rows of the one result array, so the scratch memory is bounded
@@ -167,11 +170,15 @@ def crf_posterior_batch(
     """
     rates, probs = _conditioned(matrix, attr_probs, n_categories, 2)
     off = 1.0 - rates
-    result = np.empty((probs.shape[0], n_categories))
+    shape = (probs.shape[0], n_categories)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ConfigurationError(f"out must be a C-contiguous float64 {shape} array")
     for start in range(0, probs.shape[0], _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        _posterior_block(rates, off, probs[block], result[block])
-    return result
+        _posterior_block(rates, off, probs[block], out[block])
+    return out
 
 
 def _messages(rates, off, probs):

@@ -158,9 +158,19 @@ def compute_class_average_accuracy(predictions, truths, n_categories: int) -> fl
 
 
 class _AgentRun:
-    """Mutable per-agent loop state (internal)."""
+    """Mutable per-agent loop state (internal).
 
-    __slots__ = ("domain", "pool", "category_bank", "attribute_bank", "matrix", "q")
+    ``scratch`` holds ``_agent_posterior``'s three flat float64 buffers: the
+    gathered features, then the attribute unaries (n x max(dim, M)); the
+    scores, then the CRF posterior (n x max(N, M)); and the feature
+    posterior, then the returned average (n x N), for n rows of a dim-wide
+    domain, N categories and M attributes (M = 0 for an attribute-blind
+    agent). They are made at the first scoring, in a loop the whole
+    unlabeled pool, and each is replaced by a larger one only when a later
+    pass needs more, so a run's later passes fault in no fresh pages.
+    """
+
+    __slots__ = ("domain", "pool", "category_bank", "attribute_bank", "matrix", "q", "scratch")
 
     def __init__(self, domain):
         self.domain = domain
@@ -169,6 +179,7 @@ class _AgentRun:
         self.attribute_bank = None
         self.matrix = None
         self.q = None
+        self.scratch = (np.empty(0),) * 3
 
 
 def _fit_agent(run, world, features, categories, attributes, config: TrainConfig, weighted: bool):
@@ -319,12 +330,43 @@ def _fork_is_safe() -> bool:
         return False
 
 
-def _agent_posterior(run, features, aware: bool, n_categories: int):
-    p_fc = run.category_bank.posterior_batch(features)
+def _agent_posterior(run, rows, aware: bool, n_categories: int):
+    """The combined posteriors of the domain rows ``rows`` (indices in
+    range, as ``np.flatnonzero`` gives them): the feature posterior, averaged
+    with the CRF posterior of the attribute unaries when ``aware``.
+
+    The unlabeled, prune and test passes all score here, in the three
+    buffers of ``run.scratch`` (see ``_AgentRun``), each viewed as a
+    C-contiguous (n, k) prefix. The gather goes into the first; the
+    category scores into the second, their posterior into the third; the
+    attribute scores into the second, their unaries into the first, whose
+    features both products have read; the CRF posterior into the second;
+    and the average into the third. Each matrix product covers every row of
+    the pass, and every other step is elementwise or row-wise into its
+    view, so the result has the bits of ``0.5 * (p_fc + p_ac)`` on freshly
+    made arrays. The returned array is a view into the third buffer: it is
+    valid until the next ``_agent_posterior`` call on ``run``.
+    """
+    features = run.domain.features
+    n, dim = rows.size, features.shape[1]
+    n_cat, n_attr = n_categories, run.attribute_bank.weights.shape[1] if aware else 0
+    sizes = (n * max(dim, n_attr), n * max(n_cat, n_attr), n * n_cat)
+    run.scratch = tuple(
+        buffer if buffer.size >= size else np.empty(size)
+        for buffer, size in zip(run.scratch, sizes)
+    )
+    gathered, scores, average = run.scratch
+
+    def view(buffer, width):
+        return buffer[: n * width].reshape(n, width)
+
+    # "clip" keeps np.take from buffering its output; the rows are in range.
+    x = np.take(features, rows, axis=0, out=view(gathered, dim), mode="clip")
+    p_fc = run.category_bank.posterior_into(x, view(scores, n_cat), view(average, n_cat))
     if not aware:
         return p_fc
-    unary = run.attribute_bank.probs_batch(features)
-    p_ac = crf_posterior_batch(run.matrix, unary, n_categories)
+    unary = run.attribute_bank.probs_into(x, view(scores, n_attr), view(gathered, n_attr))
+    p_ac = crf_posterior_batch(run.matrix, unary, n_cat, out=view(scores, n_cat))
     # The same bits as 0.5 * (p_fc + p_ac), in p_fc's own memory.
     p_fc += p_ac
     p_fc *= 0.5
@@ -332,11 +374,10 @@ def _agent_posterior(run, features, aware: bool, n_categories: int):
 
 
 def _advance_agent(run, t: int, cfg: LoopConfig, aware: bool, n_categories: int):
-    features = run.domain.features
     transfers = 0
     unlabeled = np.flatnonzero(run.pool.split == UNLABELED)
     if unlabeled.size:
-        posteriors = _agent_posterior(run, features[unlabeled], aware, n_categories)
+        posteriors = _agent_posterior(run, unlabeled, aware, n_categories)
         chosen = select_transfers(
             run.pool.ids[unlabeled], posteriors, cfg.transfers_per_category
         )
@@ -348,7 +389,7 @@ def _advance_agent(run, t: int, cfg: LoopConfig, aware: bool, n_categories: int)
     if cfg.prune_every > 0 and t % cfg.prune_every == 0:
         pool = run.pool
         labeled = np.flatnonzero(pool.split == LABELED)
-        posteriors = _agent_posterior(run, features[labeled], aware, n_categories)
+        posteriors = _agent_posterior(run, labeled, aware, n_categories)
         # Every labeled row is scored in one batch; seeds are never pruned.
         open_rows = ~pool.seed[labeled]
         rows = labeled[open_rows]
@@ -362,22 +403,23 @@ def _advance_agent(run, t: int, cfg: LoopConfig, aware: bool, n_categories: int)
 
 def _agent_metrics(run, aware: bool, n_categories: int, moved=(0, 0)):
     """One agent's record, given its ``moved`` (transfers, prunes) counts, and
-    the posteriors over its test split that score the record's accuracy.
-    Attribute accuracy is None for attribute-blind agents."""
+    a copy of the posteriors over its test split that score the record's
+    accuracy. Attribute accuracy is None for attribute-blind agents."""
     domain = run.domain
-    test = run.pool.split == TEST
-    features = domain.features[test]
-    posteriors = _agent_posterior(run, features, aware, n_categories)
+    test = np.flatnonzero(run.pool.split == TEST)
+    posteriors = _agent_posterior(run, test, aware, n_categories)
     accuracy = compute_class_average_accuracy(
         np.argmax(posteriors, axis=1), domain.true_category[test], n_categories
     )
     attribute_accuracy = None
     if aware:
-        rates = attribute_accuracy_arrays(run.attribute_bank, features, domain.true_bits[test])
+        rates = attribute_accuracy_arrays(
+            run.attribute_bank, domain.features[test], domain.true_bits[test]
+        )
         attribute_accuracy = tuple(rates.tolist())
     transfers, prunes = moved
     purity = compute_purity(run.pool, domain.true_category)
-    return AgentMetrics(accuracy, purity, attribute_accuracy, transfers, prunes), posteriors
+    return AgentMetrics(accuracy, purity, attribute_accuracy, transfers, prunes), posteriors.copy()
 
 
 class _Agent:

@@ -57,16 +57,19 @@ class TrainConfig:
             raise ConfigurationError(f"l2 must be 0 or at least {_FLOAT32_TINY:.3g}")
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """The logistic function of ``z``, which it overwrites with scratch."""
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The logistic function of ``z``, which it overwrites with scratch,
+    written into the float64 ``out`` (a new array when None)."""
     # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, with e = e^-|z|:
     # the exponent is never positive, so nothing overflows. As 0 <= e <= 1,
-    # max(e, z >= 0) is the numerator, 1 or e, without a branch per element.
-    positive = z >= 0
+    # max(e, z >= 0) is the numerator, 1 or e, without a branch per element;
+    # ``out`` holds the comparison as 1.0 or 0.0, which max reads as it
+    # reads a bool.
+    positive = np.greater_equal(z, 0.0, out=out)
     e = np.abs(z, out=z)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    numerator = np.maximum(e, positive)
+    numerator = np.maximum(e, positive, out=out)
     e += 1.0
     numerator /= e
     return numerator
@@ -224,32 +227,50 @@ class _LinearBank:
         """One (weights, bias) pair per column; only the benchmark tracer reads it."""
         return tuple(_Column(self.weights[:, j], float(b)) for j, b in enumerate(self.bias))
 
-    def _probs(self, features) -> np.ndarray:
+    def _fresh(self, features) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The checked ``features``, and new ``scores`` and ``out`` arrays,
+        as the ``_into`` methods take them."""
         if not self.bias.size:
             raise StateError(f"{type(self).__name__} has not been trained")
         features = np.asarray(features, dtype=float)
         if features.ndim != 2 or features.shape[1] != self.weights.shape[0]:
             raise ConfigurationError("feature matrix does not match classifier dimension")
-        z = features @ self.weights
-        z += self.bias
-        p = _sigmoid(z)
-        return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP, out=p)
+        shape = (features.shape[0], self.bias.size)
+        return features, np.empty(shape), np.empty(shape)
+
+    def probs_into(self, features, scores, out) -> np.ndarray:
+        """Write the clamped probabilities of the (n, dim) ``features`` into
+        the (n, k) float64 ``out`` and return it. The scores ``X @ W + b``
+        go into ``scores``, also (n, k) float64 and C-contiguous, and are
+        overwritten with scratch. ``out`` may share memory with
+        ``features``, which the product has read before the link writes."""
+        np.matmul(features, self.weights, out=scores)
+        scores += self.bias
+        _sigmoid(scores, out)
+        return np.clip(out, PROB_CLAMP, 1.0 - PROB_CLAMP, out=out)
 
 
 class CategoryModelBank(_LinearBank):
     """One one-vs-rest classifier per category; outputs a normalized posterior."""
 
     def posterior_batch(self, features: np.ndarray) -> np.ndarray:
-        raw = self._probs(features)
-        raw /= raw.sum(axis=1, keepdims=True)
-        return raw
+        return self.posterior_into(*self._fresh(features))
+
+    def posterior_into(self, features, scores, out) -> np.ndarray:
+        """``posterior_batch``'s rows, written into ``out`` as ``probs_into``
+        writes; each row's sum goes into the start of ``scores``."""
+        self.probs_into(features, scores, out)
+        sums = scores.reshape(-1)[: out.shape[0], None]
+        np.add.reduce(out, axis=1, keepdims=True, out=sums)
+        out /= sums
+        return out
 
 
 class AttributeModelBank(_LinearBank):
     """One independent presence classifier per attribute; no cross-attribute normalization."""
 
     def probs_batch(self, features: np.ndarray) -> np.ndarray:
-        return self._probs(features)
+        return self.probs_into(*self._fresh(features))
 
 
 def _category_targets(features, categories, n_categories: int):

@@ -114,6 +114,37 @@ def test_attribute_probs_must_be_strictly_interior():
                             np.array([[np.nan, 0.5]]), 2)
 
 
+def test_interior_check_catches_every_entry_without_a_whole_batch_temporary():
+    n, width = 20_000, 10
+    probs = np.random.default_rng(4).uniform(0.01, 0.99, (n, width))
+    matrix = np.full((width, width), 0.5)
+    tracemalloc.start()
+    try:
+        _conditioned(matrix, probs, width, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One bool per entry is a slab; the earlier check made three.
+    assert peak < n * width, f"peak {peak} B"
+    for bad in (0.0, 1.0, np.nan):
+        probs[-1, -1] = bad
+        with pytest.raises(ConfigurationError, match=r"strictly inside \(0, 1\)"):
+            _conditioned(matrix, probs, width, 2)
+
+
+def test_posterior_batch_writes_into_out():
+    rng = np.random.default_rng(6)
+    rates = rng.uniform(0, 1, (4, 3))
+    probs = rng.uniform(0.01, 0.99, (2 * crf._BLOCK_ROWS + 5, 4))
+    out = np.full((probs.shape[0], 3), np.nan)
+    assert crf_posterior_batch(rates, probs, 3, out=out) is out
+    assert np.array_equal(out, crf_posterior_batch(rates, probs, 3))
+    for bad in (np.empty((probs.shape[0], 4)), np.empty((3, probs.shape[0])).T,
+                np.empty((probs.shape[0], 3), np.float32)):
+        with pytest.raises(ConfigurationError, match="out must be"):
+            crf_posterior_batch(rates, probs, 3, out=bad)
+
+
 @pytest.mark.parametrize("bad", [1.5, -0.5, np.nan, np.inf])
 def test_raw_matrix_entries_are_checked(bad):
     rates = np.array([[0.2, bad], [0.6, 0.4]])

@@ -1147,18 +1147,35 @@ def test_wide_pool_records_match_golden_digest():
 
 
 def _scoring_agent(n_rows, n_categories=10, n_attributes=10, dim=12, seed=0):
-    """An attribute-aware agent's banks and matrix, and ``n_rows`` feature rows."""
+    """An attribute-aware agent's banks and matrix over a domain of
+    ``n_rows`` feature rows, and those rows."""
     rng = np.random.default_rng(seed)
-    run = SimpleNamespace(
-        category_bank=CategoryModelBank(
-            rng.normal(size=(dim, n_categories)), rng.normal(size=n_categories)
-        ),
-        attribute_bank=AttributeModelBank(
-            rng.normal(size=(dim, n_attributes)), rng.normal(size=n_attributes)
-        ),
-        matrix=rng.uniform(0, 1, (n_attributes, n_categories)),
+    features = rng.normal(scale=2.0, size=(n_rows, dim))
+    run = harness._AgentRun(SimpleNamespace(features=features, pool=None))
+    run.category_bank = CategoryModelBank(
+        rng.normal(size=(dim, n_categories)), rng.normal(size=n_categories)
     )
-    return run, rng.normal(scale=2.0, size=(n_rows, dim))
+    run.attribute_bank = AttributeModelBank(
+        rng.normal(size=(dim, n_attributes)), rng.normal(size=n_attributes)
+    )
+    run.matrix = rng.uniform(0, 1, (n_attributes, n_categories))
+    return run, features
+
+
+def _whole_array_posterior(run, features, aware, n_categories):
+    # The earlier _agent_posterior on gathered rows, each step a new array.
+    p_fc = run.category_bank.posterior_batch(features)
+    if not aware:
+        return p_fc
+    unary = run.attribute_bank.probs_batch(features)
+    p_ac = crf.crf_posterior_batch(run.matrix, unary, n_categories)
+    return 0.5 * (p_fc + p_ac)
+
+
+def _same_bits(got, expected) -> bool:
+    return got.shape == expected.shape and np.array_equal(
+        got.view(np.int64), expected.view(np.int64)
+    )
 
 
 def test_agent_posterior_is_bit_identical_to_the_whole_array_average():
@@ -1170,27 +1187,94 @@ def test_agent_posterior_is_bit_identical_to_the_whole_array_average():
             run.matrix, run.attribute_bank.probs_batch(features), 10
         )
         expected = 0.5 * (p_fc + p_ac)  # the earlier form, verbatim
-        got = harness._agent_posterior(run, features, True, 10)
+        got = harness._agent_posterior(run, np.arange(n), True, 10)
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("aware", [True, False], ids=["aware", "blind"])
+@pytest.mark.parametrize("dim", [5, 12], ids=["dim<M", "dim>M"])
+def test_agent_posterior_reuses_its_buffers_over_shrinking_and_growing_row_sets(dim, aware):
+    block = crf._BLOCK_ROWS
+    sizes = (2 * block + 17, block + 1, block, block - 1, 1, 0)
+    run, features = _scoring_agent(sizes[0], dim=dim, seed=dim)
+    rng = np.random.default_rng(dim)
+    widths = (max(dim, 10 if aware else 0), 10, 10)
+    first = None
+    for n in sizes + (sizes[0],):
+        rows = np.sort(rng.permutation(sizes[0])[:n])
+        got = harness._agent_posterior(run, rows, aware, 10)
+        assert _same_bits(got, _whole_array_posterior(run, features[rows], aware, 10))
+        if first is None:
+            first = run.scratch
+        # The first pass is the largest: no later one makes a buffer.
+        assert all(now is then for now, then in zip(run.scratch, first))
+    assert [b.size for b in first] == [sizes[0] * width for width in widths]
+    grown = sizes[0] + 5
+    run, features = _scoring_agent(grown, dim=dim, seed=dim)
+    harness._agent_posterior(run, np.arange(block), aware, 10)
+    got = harness._agent_posterior(run, np.arange(grown)[::-1], aware, 10)
+    assert _same_bits(got, _whole_array_posterior(run, features[::-1], aware, 10))
+    assert [b.size for b in run.scratch] == [grown * width for width in widths]
+
+
+@pytest.mark.parametrize("variant", [LearnerVariant.SSL_IND, LearnerVariant.MULTIVIEW_IND])
+def test_every_scoring_pass_is_bit_identical_to_the_whole_array_average(variant, monkeypatch):
+    # The unlabeled, prune and test passes of a looping run, each on its
+    # agent's banks of the moment, across several CRF blocks.
+    monkeypatch.setattr(crf, "_BLOCK_ROWS", _ODD_BLOCK)
+    monkeypatch.setattr(harness, "_fork_is_safe", lambda: False)
+    scoring = harness._agent_posterior
+    passes = []
+
+    def checked(run, rows, aware, n_categories):
+        got = scoring(run, rows, aware, n_categories)
+        features = run.domain.features[rows]
+        assert _same_bits(got, _whole_array_posterior(run, features, aware, n_categories))
+        (split,) = set(run.pool.split[rows].tolist())
+        passes.append((split, rows.size))
+        return got
+
+    monkeypatch.setattr(harness, "_agent_posterior", checked)
+    world = generate_world(_small_config())
+    cfg = harness.replace(_FAST, prune_every=2)
+    run_experiment(variant, world, 4, cfg)
+    assert {split for split, _ in passes} == {UNLABELED, LABELED, TEST}
+    assert max(size for _, size in passes) > 2 * _ODD_BLOCK
 
 
 def test_agent_posterior_memory_is_bounded_by_its_output_and_one_block():
     n, width = 20_000, 10
     run, features = _scoring_agent(n)
-    # Live at the peak: the feature posterior (which becomes the result), the
-    # attribute unaries and the CRF posterior, each n x 10 floats, plus one
-    # CRF block's scratch: five slabs of _BLOCK_ROWS x 10 floats and a
-    # sixth's worth of row vectors and allocator slack.
+    harness._agent_posterior(run, np.arange(n), True, width)
+    # The second call on the run makes no buffer: live at its peak is one
+    # CRF block's scratch, five slabs of _BLOCK_ROWS x 10 floats and a
+    # sixth's worth of row vectors and allocator slack, under one n x 10
+    # output's worth of headroom.
     output = n * width * 8
-    bound = 3 * output + 6 * crf._BLOCK_ROWS * width * 8
+    bound = output + 6 * crf._BLOCK_ROWS * width * 8
+    rows = np.arange(n - 1, -1, -1)
     tracemalloc.start()
     try:
-        result = harness._agent_posterior(run, features, True, width)
+        result = harness._agent_posterior(run, rows, True, width)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert result.nbytes == output
     assert peak <= bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
+
+
+def test_ensemble_test_posteriors_outlive_the_agents_next_scoring_call(small_world):
+    agent = harness._Agent(0, small_world, LearnerVariant.ENSEMBLE_IND, _FAST)
+    worker = harness._InProcess(agent)
+    worker.submit(harness._Agent.train, 1)
+    assert worker.result() is None
+    worker.submit(harness._Agent.advance, 1, None)
+    _, posteriors = worker.result()
+    kept = posteriors.copy()
+    unlabeled = np.flatnonzero(agent.run.pool.split == UNLABELED)
+    assert unlabeled.size > posteriors.shape[0]
+    harness._agent_posterior(agent.run, unlabeled, False, small_world.config.n_categories)
+    assert _same_bits(posteriors, kept)
 
 
 def _world_digest(world) -> str:

@@ -284,6 +284,16 @@ def test_sigmoid_is_bit_identical_to_masked_form():
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def test_sigmoid_written_into_out_is_bit_identical_to_masked_form():
+    rng = np.random.default_rng(14)
+    z = np.concatenate([rng.normal(scale=30.0, size=10_000), [0.0, -0.0, 800.0, -800.0]])
+    out = np.full_like(z, np.nan)
+    with np.errstate(over="raise", invalid="raise"):
+        got = _sigmoid(z.copy(), out)
+    assert got is out
+    assert np.array_equal(out.view(np.int64), _masked_sigmoid(z).view(np.int64))
+
+
 def _whole_probs(bank, features):
     # The earlier _probs with its pure sigmoid, verbatim: every step makes a
     # new full-size array.
